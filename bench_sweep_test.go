@@ -31,7 +31,7 @@ func sweepBenchGrid() *sweep.Grid {
 
 func runSweepBench(b *testing.B, st *store.Store, wantAnalyzed int) sweep.RunStats {
 	b.Helper()
-	r := &sweep.Runner{Eval: sweep.DirectEval(st, nil), Workers: 4}
+	r := &sweep.Runner{Eval: sweep.DirectEvalScratch(st, nil, nil), Workers: 4}
 	_, stats, err := r.Run(context.Background(), sweepBenchGrid())
 	if err != nil {
 		b.Fatal(err)

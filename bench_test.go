@@ -259,7 +259,7 @@ func BenchmarkOperatorMatVec(b *testing.B) {
 			})
 		}
 		b.Run(fmt.Sprintf("sparse/N=%d", size), func(b *testing.B) {
-			benchMatVec(b, d.TransitionCSR())
+			benchMatVec(b, d.TransitionCSRPar(linalg.ParallelConfig{}))
 		})
 		b.Run(fmt.Sprintf("matfree/N=%d", size), func(b *testing.B) {
 			benchMatVec(b, d.MatFree())
@@ -275,7 +275,7 @@ func BenchmarkRelaxationBackends(b *testing.B) {
 		b.Run(string(backend), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := mixing.RelaxationSandwich(d, backend, 0.25, nil); err != nil {
+				if _, err := mixing.RelaxationSandwichPar(d, backend, 0.25, nil, linalg.ParallelConfig{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -437,7 +437,7 @@ func BenchmarkAllocSparseAnalyze65536(b *testing.B) {
 	g := parallelBenchGame(b)
 	ar := scratch.NewArena()
 	analyze := func() {
-		rep, err := core.AnalyzeGame(g, 1, core.Options{Backend: "sparse", Scratch: ar})
+		rep, err := core.AnalyzeGame(g, 1, core.Options{Backend: "sparse", Parallel: linalg.ParallelConfig{Arena: ar}})
 		if err != nil {
 			b.Fatal(err)
 		}

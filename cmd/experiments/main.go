@@ -59,7 +59,6 @@ func main() {
 		workers     = flag.Int("workers", 0, "worker cap for ALL parallel stages (sets GOMAXPROCS; 0 = all cores); never changes table entries")
 		logFormat   = flag.String("logformat", "text", "structured log format on stderr: text or json")
 		logLevel    = flag.String("loglevel", "info", "log level: debug, info, warn or error")
-		scratchMode = flag.String("scratch", "on", "per-worker scratch arenas for analysis working memory: on|off; never changes table entries")
 	)
 	flag.Parse()
 
@@ -99,12 +98,7 @@ func main() {
 		}
 	}
 
-	scratchPool, err := scratch.PoolFromFlag(*scratchMode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
-	}
-	exec := &bench.Executor{Scratch: scratchPool}
+	exec := &bench.Executor{Scratch: scratch.NewPool()}
 	if *storeDir != "" {
 		st, err := cluster.OpenFromFlags(*storeDir, store.Options{MaxBytes: *storeMax, MaxAge: *storeMaxAge}, "", 0)
 		if err != nil {

@@ -20,7 +20,6 @@ import (
 	"logitdyn/internal/mixing"
 	"logitdyn/internal/plot"
 	"logitdyn/internal/rng"
-	"logitdyn/internal/scratch"
 	"logitdyn/internal/serialize"
 	"logitdyn/internal/sim"
 	"logitdyn/internal/spec"
@@ -48,7 +47,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the simulation as JSON on stdout (the service wire format)")
 	spectralOut := flag.Bool("spectral", false, "also report λ*/t_rel of the chain via the selected backend")
 	backendFlag := flag.String("backend", "auto", "linear-algebra backend for -spectral: auto|dense|sparse|matfree")
-	scratchMode := flag.String("scratch", "on", "scratch arena for the -spectral working memory: on|off; never changes results")
 	flag.Parse()
 
 	g, err := s.Build()
@@ -124,13 +122,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "logitsim: %v\n", err)
 			os.Exit(2)
 		}
-		ar, err := scratch.FromFlag(*scratchMode)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "logitsim: %v\n", err)
-			os.Exit(2)
-		}
-		res, err := mixing.RelaxationSandwichScratch(d, b.Resolve(sp.Size(), core.DefaultMaxExactStates), mixing.DefaultEps, nil,
-			linalg.ParallelConfig{Workers: *workers}, ar)
+		res, err := mixing.RelaxationSandwichPar(d, b.Resolve(sp.Size(), core.DefaultMaxExactStates), mixing.DefaultEps, nil,
+			linalg.ParallelConfig{Workers: *workers})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "logitsim: -spectral: %v\n", err)
 			os.Exit(1)

@@ -18,7 +18,6 @@ import (
 	"logitdyn/internal/core"
 	"logitdyn/internal/game"
 	"logitdyn/internal/linalg"
-	"logitdyn/internal/scratch"
 	"logitdyn/internal/serialize"
 	"logitdyn/internal/spec"
 )
@@ -41,7 +40,6 @@ func main() {
 	eps := flag.Float64("eps", 0.25, "total-variation target ε")
 	backend := flag.String("backend", "auto", "linear-algebra backend: auto|dense|sparse|matfree")
 	workers := flag.Int("workers", 0, "worker budget for the analysis (0 = GOMAXPROCS); never changes reported numbers")
-	scratchMode := flag.String("scratch", "on", "scratch arena for the analysis working memory: on|off; never changes reported numbers")
 	loadGame := flag.String("loadgame", "", "read the game from a JSON file instead of -game flags")
 	saveGame := flag.String("savegame", "", "write the constructed game as JSON")
 	saveResult := flag.String("saveresult", "", "write the analysis result as JSON")
@@ -91,16 +89,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mixtime: %v\n", err)
 		os.Exit(2)
 	}
-	ar, err := scratch.FromFlag(*scratchMode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mixtime: %v\n", err)
-		os.Exit(2)
-	}
 	rep, err := a.Analyze(core.Options{
 		Eps:      *eps,
 		Backend:  *backend,
 		Parallel: linalg.ParallelConfig{Workers: *workers},
-		Scratch:  ar,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mixtime: %v\n", err)

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"logitdyn/internal/game"
 	"logitdyn/internal/linalg"
@@ -25,7 +26,6 @@ import (
 	"logitdyn/internal/mixing"
 	"logitdyn/internal/obs"
 	"logitdyn/internal/rng"
-	"logitdyn/internal/scratch"
 	"logitdyn/internal/sim"
 	"logitdyn/internal/spectral"
 )
@@ -68,22 +68,20 @@ type Options struct {
 	// Backend selects the linear-algebra backend: "auto" (default, dense
 	// up to MaxExactStates then sparse), "dense", "sparse" or "matfree".
 	Backend string
-	// Parallel is the worker budget for the analysis: operator mat-vecs,
-	// Lanczos re-orthogonalization, the Gibbs/potential/welfare/equilibrium
-	// sweeps. The zero value selects GOMAXPROCS. It NEVER changes any
+	// Parallel is the execution value for the analysis. Its worker budget
+	// drives operator mat-vecs, Lanczos re-orthogonalization and the
+	// Gibbs/potential/welfare/equilibrium sweeps; the zero value selects
+	// GOMAXPROCS. Its Arena, when set, supplies the analysis' working
+	// memory: the sparse operator's CSR arrays, the potential tables and ζ
+	// scan temporaries, and the whole Lanczos workspace check out of it
+	// instead of the heap. The caller owns the arena and must not Reset or
+	// reuse it while the analysis runs; serving layers hand one out per
+	// worker token, and nil allocates fresh. Neither part EVER changes any
 	// reported number — every parallel reduction underneath uses fixed
-	// block boundaries — which is why serving layers exclude it from cache
-	// keys and why the golden-report corpus is stable across machines.
+	// block boundaries and checkouts come back zeroed, exactly like make —
+	// which is why serving layers exclude Parallel from cache keys and why
+	// the golden-report corpus is stable across machines.
 	Parallel linalg.ParallelConfig
-	// Scratch, when set, supplies the analysis' working memory: the sparse
-	// operator's CSR arrays, the potential table and ζ scan temporaries,
-	// and the whole Lanczos workspace check out of this arena instead of
-	// the heap. The caller owns the arena and must not Reset or reuse it
-	// while the analysis runs; serving layers hand one out per worker
-	// token. Like Parallel, Scratch NEVER changes any reported number
-	// (checkouts come back zeroed, exactly like make) and is excluded from
-	// cache keys. nil means every temporary is freshly allocated.
-	Scratch *scratch.Arena
 }
 
 func (o Options) withDefaults() Options {
@@ -239,7 +237,7 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, opts Options) (*Report, error
 		endSpectral()
 	} else {
 		endStationary := obs.StartSpan(ctx, obs.StageStationary)
-		gibbs, gerr := a.dyn.GibbsScratch(opts.Parallel, opts.Scratch)
+		gibbs, gerr := a.dyn.GibbsPar(opts.Parallel)
 		if gerr != nil {
 			// A game can be an exact potential game without declaring Φ
 			// (e.g. a utility-table document): reconstruct the potential —
@@ -256,7 +254,7 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, opts Options) (*Report, error
 		pi = gibbs
 		endStationary()
 		endLanczos := obs.StartSpan(ctx, obs.StageLanczos)
-		res, lerr := mixing.RelaxationSandwichScratch(a.dyn, backend, opts.Eps, pi, opts.Parallel, opts.Scratch)
+		res, lerr := mixing.RelaxationSandwichPar(a.dyn, backend, opts.Eps, pi, opts.Parallel)
 		endLanczos()
 		if lerr != nil {
 			return nil, lerr
@@ -290,11 +288,15 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, opts Options) (*Report, error
 	g := a.dyn.Game()
 	if p, ok := game.AsPotential(g); ok {
 		rep.IsPotentialGame = true
-		// The table escapes into the report only for small games; large
-		// reports elide it below, so it may live in the arena.
-		rep.Stats, err = mixing.AnalyzePotentialScratch(p, opts.Parallel, opts.Scratch, !large)
+		rep.Stats, err = mixing.AnalyzePotentialPar(p, opts.Parallel)
 		if err != nil {
 			return nil, err
+		}
+		// The Φ table may live in the arena. Small-game reports keep it,
+		// so it must survive the arena's Reset; large reports elide it
+		// below.
+		if !large && opts.Parallel.Arena != nil {
+			rep.Stats.Phi = slices.Clone(rep.Stats.Phi)
 		}
 		// The serial and parallel potential analyses agree exactly, so the
 		// bounds built from these stats match what mixing.Report computes.
@@ -311,7 +313,7 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, opts Options) (*Report, error
 		}
 		if phi != nil {
 			rep.IsPotentialGame = true
-			rep.Stats, err = mixing.AnalyzePhiTableScratch(sp, phi, opts.Parallel, opts.Scratch)
+			rep.Stats, err = mixing.AnalyzePhiTablePar(sp, phi, opts.Parallel)
 			if err != nil {
 				return nil, err
 			}

@@ -112,17 +112,13 @@ func PureNashEquilibriaPar(g Game, tol float64, par linalg.ParallelConfig) []int
 	return out
 }
 
-// IsDominantStrategy reports whether strategy s is (weakly) dominant for
-// player i: u_i(s, x_-i) >= u_i(s', x_-i) − tol for every s' and every
-// profile x of the other players, matching the paper's Section 4 definition.
-func IsDominantStrategy(g Game, i, s int, tol float64) bool {
-	return IsDominantStrategyPar(g, i, s, tol, linalg.Serial)
-}
-
-// IsDominantStrategyPar is IsDominantStrategy with the opponent-profile
-// scan sharded over the worker budget. The predicate is a pure conjunction,
-// so any chunking returns the same boolean; a shared flag lets all chunks
-// stop early once one counterexample is found.
+// IsDominantStrategyPar reports whether strategy s is (weakly) dominant
+// for player i: u_i(s, x_-i) >= u_i(s', x_-i) − tol for every s' and every
+// profile x of the other players, matching the paper's Section 4
+// definition. The opponent-profile scan is sharded over the worker budget.
+// The predicate is a pure conjunction, so any chunking returns the same
+// boolean; a shared flag lets all chunks stop early once one
+// counterexample is found.
 func IsDominantStrategyPar(g Game, i, s int, tol float64, par linalg.ParallelConfig) bool {
 	sp := SpaceOf(g)
 	var refuted atomic.Bool

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"logitdyn/internal/graph"
+	"logitdyn/internal/linalg"
 )
 
 func mustCoordination(t *testing.T, a, b, c, d float64) Coordination2x2 {
@@ -79,10 +80,10 @@ func TestDominantStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if !IsDominantStrategy(g, i, 0, 1e-12) {
+		if !IsDominantStrategyPar(g, i, 0, 1e-12, linalg.Serial) {
 			t.Errorf("strategy 0 must be dominant for player %d", i)
 		}
-		if IsDominantStrategy(g, i, 1, 1e-12) {
+		if IsDominantStrategyPar(g, i, 1, 1e-12, linalg.Serial) {
 			t.Errorf("strategy 1 must not be dominant for player %d", i)
 		}
 	}

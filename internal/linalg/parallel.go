@@ -19,6 +19,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"logitdyn/internal/scratch"
 )
 
 // DefaultMinRows is the inline threshold: loops shorter than this never
@@ -41,9 +43,10 @@ const (
 	scatterMaxShards = 32
 )
 
-// ParallelConfig is the worker budget threaded through the analysis stack.
-// The zero value selects GOMAXPROCS workers with the default inline
-// threshold, preserving the behavior code had before the config existed.
+// ParallelConfig is the execution value threaded through the analysis
+// stack: the worker budget and the scratch arena travel together. The zero
+// value selects GOMAXPROCS workers with the default inline threshold and
+// no arena, preserving the behavior code had before the config existed.
 type ParallelConfig struct {
 	// Workers bounds how many goroutines a data-parallel loop may use;
 	// 0 means GOMAXPROCS, 1 forces inline execution.
@@ -51,6 +54,13 @@ type ParallelConfig struct {
 	// MinRows is the minimum rows each worker must receive before a loop
 	// splits; 0 means DefaultMinRows. Loops shorter than MinRows run inline.
 	MinRows int
+	// Arena, when set, supplies the analysis' non-escaping working memory
+	// (CSR arrays, potential tables, ζ-scan temporaries, the Lanczos
+	// workspace); nil allocates fresh. An arena is owned by one analysis
+	// at a time (see internal/scratch), so a config carrying one must not
+	// be handed to two concurrent analyses. Like Workers, it never changes
+	// a computed bit: checkouts come back zeroed, exactly like make.
+	Arena *scratch.Arena
 }
 
 // Serial is the explicit one-worker config: everything runs inline.

@@ -26,7 +26,6 @@ import (
 	"logitdyn/internal/linalg"
 	"logitdyn/internal/markov"
 	"logitdyn/internal/rng"
-	"logitdyn/internal/scratch"
 )
 
 // Dynamics is the logit dynamics Mβ(G) for a fixed game and inverse noise.
@@ -165,12 +164,6 @@ func (d *Dynamics) TransitionSparsePar(par linalg.ParallelConfig) *markov.Sparse
 	return s
 }
 
-// TransitionCSR builds the transition matrix in compressed-sparse-row form
-// under the default worker budget. See TransitionCSRPar.
-func (d *Dynamics) TransitionCSR() *linalg.CSR {
-	return d.TransitionCSRPar(linalg.ParallelConfig{})
-}
-
 // TransitionCSRPar builds the transition matrix in compressed-sparse-row
 // form, the representation the sparse analysis backend iterates, using the
 // given worker budget for both construction and the returned matrix's
@@ -178,17 +171,12 @@ func (d *Dynamics) TransitionCSR() *linalg.CSR {
 // parallel (every row has at most W = 1 + Σᵢ(|Sᵢ|−1) entries), so no
 // intermediate row-list — with its one slice header per state — is ever
 // materialized; a compaction pass runs only when some update probability
-// underflowed to zero.
-func (d *Dynamics) TransitionCSRPar(par linalg.ParallelConfig) *linalg.CSR {
-	return d.TransitionCSRScratch(par, nil)
-}
-
-// TransitionCSRScratch is TransitionCSRPar with the CSR arrays checked out
-// from the arena (nil allocates fresh, making it exactly TransitionCSRPar).
-// The returned matrix references arena memory, so it is owned by the
-// analysis that owns a and must not outlive it — the operator never
+// underflowed to zero. The CSR arrays check out of par.Arena (nil = fresh):
+// the returned matrix then references arena memory, so it is owned by the
+// analysis that owns the arena and must not outlive it — the operator never
 // escapes into a report, which is what makes this safe.
-func (d *Dynamics) TransitionCSRScratch(par linalg.ParallelConfig, a *scratch.Arena) *linalg.CSR {
+func (d *Dynamics) TransitionCSRPar(par linalg.ParallelConfig) *linalg.CSR {
+	a := par.Arena
 	size := d.space.Size()
 	w := 1
 	for i := 0; i < d.space.Players(); i++ {
@@ -240,32 +228,19 @@ func (d *Dynamics) TransitionDensePar(par linalg.ParallelConfig) *linalg.Dense {
 	return d.TransitionSparsePar(par).Dense()
 }
 
-// Operator returns the transition matrix as a linalg.Operator in the
-// requested concrete backend under the default worker budget.
-func (d *Dynamics) Operator(b Backend) (linalg.Operator, error) {
-	return d.OperatorPar(b, linalg.ParallelConfig{})
-}
-
 // OperatorPar returns the transition matrix as a linalg.Operator in the
 // requested concrete backend, carrying the given worker budget (auto must
 // be resolved by the caller first, since the dense threshold is a policy of
 // the analysis layer). The budget tunes how many workers the operator's
-// mat-vecs use; it never changes their results.
+// mat-vecs use; it never changes their results. The sparse backend's CSR
+// arrays check out of par.Arena (see TransitionCSRPar); the dense and
+// matrix-free backends carry no shape-sized construction arrays.
 func (d *Dynamics) OperatorPar(b Backend, par linalg.ParallelConfig) (linalg.Operator, error) {
-	return d.OperatorScratch(b, par, nil)
-}
-
-// OperatorScratch is OperatorPar with the sparse backend's CSR arrays
-// checked out from the arena (nil = fresh). The dense and matrix-free
-// backends carry no shape-sized construction arrays, so they are
-// unaffected. An arena-backed operator must not outlive the analysis that
-// owns a.
-func (d *Dynamics) OperatorScratch(b Backend, par linalg.ParallelConfig, a *scratch.Arena) (linalg.Operator, error) {
 	switch b {
 	case BackendDense:
 		return d.TransitionDense().WithParallel(par), nil
 	case BackendSparse:
-		return d.TransitionCSRScratch(par, a), nil
+		return d.TransitionCSRPar(par), nil
 	case BackendMatFree:
 		return d.MatFree().WithParallel(par), nil
 	}
@@ -284,21 +259,16 @@ func (d *Dynamics) Gibbs() ([]float64, error) {
 // and exponentiation are element-wise parallel; the minimum is an exact
 // (order-independent) reduction and the normalizing sum accumulates over
 // fixed blocks, so the measure is bit-identical for every worker count.
+// The potential table checks out of par.Arena (nil = fresh); the returned
+// measure itself is always freshly allocated: it escapes into reports and
+// caches, so it must survive the arena's Reset.
 func (d *Dynamics) GibbsPar(par linalg.ParallelConfig) ([]float64, error) {
-	return d.GibbsScratch(par, nil)
-}
-
-// GibbsScratch is GibbsPar with the potential table checked out from the
-// arena (nil = fresh). The returned measure itself is always freshly
-// allocated: it escapes into reports and caches, so it must survive the
-// arena's Reset.
-func (d *Dynamics) GibbsScratch(par linalg.ParallelConfig, a *scratch.Arena) ([]float64, error) {
 	p, ok := game.AsPotential(d.g)
 	if !ok {
 		return nil, errors.New("logit: Gibbs measure requires a potential game")
 	}
 	size := d.space.Size()
-	phi := a.F64(size)
+	phi := par.Arena.F64(size)
 	var mu sync.Mutex
 	minPhi := math.Inf(1)
 	par.For(size, func(lo, hi int) {

@@ -10,7 +10,6 @@ import (
 	"math"
 
 	"logitdyn/internal/linalg"
-	"logitdyn/internal/scratch"
 )
 
 // CheckStochastic verifies that every row of P is a probability vector
@@ -81,29 +80,19 @@ func StationaryPower(p *linalg.Dense, tol float64, maxIter int) ([]float64, erro
 // operator — using only MatVecTrans (μ ← μP). The caller is responsible for
 // the operator being row-stochastic.
 func StationaryPowerOp(p linalg.Operator, tol float64, maxIter int) ([]float64, error) {
-	return StationaryPowerOpScratch(p, tol, maxIter, nil)
-}
-
-// StationaryPowerOpScratch is StationaryPowerOp with both iteration vectors
-// checked out from the arena (nil = fresh). The returned distribution is a
-// fresh copy — it escapes to the caller, so it must survive the arena's
-// Reset.
-func StationaryPowerOpScratch(p linalg.Operator, tol float64, maxIter int, a *scratch.Arena) ([]float64, error) {
 	n, cols := p.Dims()
 	if n != cols {
 		return nil, errors.New("markov: StationaryPowerOp needs a square operator")
 	}
-	mu := a.F64(n)
-	next := a.F64(n)
+	mu := make([]float64, n)
+	next := make([]float64, n)
 	for i := range mu {
 		mu[i] = 1 / float64(n)
 	}
 	for iter := 0; iter < maxIter; iter++ {
 		p.MatVecTrans(next, mu)
 		if TVDistance(mu, next) < tol {
-			out := make([]float64, n)
-			copy(out, next)
-			return out, nil
+			return next, nil
 		}
 		mu, next = next, mu
 	}

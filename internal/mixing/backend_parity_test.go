@@ -60,7 +60,7 @@ func maxAbsDiff(a, b []float64) float64 {
 func parityOperators(d *logit.Dynamics) map[string]linalg.Operator {
 	return map[string]linalg.Operator{
 		"dense":   d.TransitionDense(),
-		"sparse":  d.TransitionCSR(),
+		"sparse":  d.TransitionCSRPar(linalg.ParallelConfig{}),
 		"rowlist": d.TransitionSparse(),
 		"matfree": d.MatFree(),
 	}
@@ -170,7 +170,7 @@ func TestRelaxationSandwichBracketsExactMixing(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, backend := range []logit.Backend{logit.BackendSparse, logit.BackendMatFree} {
-				res, err := RelaxationSandwich(d, backend, DefaultEps, nil)
+				res, err := RelaxationSandwichPar(d, backend, DefaultEps, nil, linalg.ParallelConfig{})
 				if err != nil {
 					t.Fatalf("%s: %v", backend, err)
 				}

@@ -9,7 +9,6 @@ import (
 	"logitdyn/internal/logit"
 	"logitdyn/internal/markov"
 	"logitdyn/internal/rng"
-	"logitdyn/internal/scratch"
 	"logitdyn/internal/spectral"
 )
 
@@ -93,7 +92,7 @@ const lanczosSeed = 0x1a9c205
 // Krylov basis, so this cap also bounds the k·N basis memory.
 const lanczosMaxIter = 256
 
-// RelaxationSandwich measures λ* and the relaxation time through the
+// RelaxationSandwichPar measures λ* and the relaxation time through the
 // requested backend without ever materializing a dense matrix (unless the
 // dense backend itself is requested), and converts t_rel into the Theorem
 // 2.3 mixing-time sandwich. The chain must be reversible with a
@@ -102,31 +101,22 @@ const lanczosMaxIter = 256
 // and the Gibbs measure available without a dense solve. A caller that
 // already holds the Gibbs measure passes it as pi (it is not re-verified);
 // pi == nil computes it here.
-func RelaxationSandwich(d *logit.Dynamics, backend logit.Backend, eps float64, pi []float64) (*Result, error) {
-	return RelaxationSandwichPar(d, backend, eps, pi, linalg.ParallelConfig{})
-}
-
-// RelaxationSandwichPar is RelaxationSandwich under an explicit worker
-// budget: operator construction, the Lanczos mat-vecs and the
-// re-orthogonalization sweep all run on par. The budget never changes the
-// measured spectrum — every parallel reduction underneath uses fixed block
-// boundaries — so reports are bit-identical for every worker count.
-func RelaxationSandwichPar(d *logit.Dynamics, backend logit.Backend, eps float64, pi []float64, par linalg.ParallelConfig) (*Result, error) {
-	return RelaxationSandwichScratch(d, backend, eps, pi, par, nil)
-}
-
-// RelaxationSandwichScratch is RelaxationSandwichPar with the sparse
-// operator's CSR arrays, the symmetrized operator's workspace and the whole
-// Lanczos basis checked out from the arena (nil = fresh). A sweep that
-// hands the same arena to consecutive same-shape points reuses all of it.
+//
+// Operator construction, the Lanczos mat-vecs and the re-orthogonalization
+// sweep all run on par. The budget never changes the measured spectrum —
+// every parallel reduction underneath uses fixed block boundaries — so
+// reports are bit-identical for every worker count. par.Arena (nil =
+// fresh) supplies the sparse operator's CSR arrays, the symmetrized
+// operator's workspace and the whole Lanczos basis, so a sweep that hands
+// the same arena to consecutive same-shape points reuses all of it.
 // Nothing arena-backed escapes into the returned Result.
-func RelaxationSandwichScratch(d *logit.Dynamics, backend logit.Backend, eps float64, pi []float64, par linalg.ParallelConfig, a *scratch.Arena) (*Result, error) {
+func RelaxationSandwichPar(d *logit.Dynamics, backend logit.Backend, eps float64, pi []float64, par linalg.ParallelConfig) (*Result, error) {
 	if backend == logit.BackendAuto || backend == "" {
 		return nil, fmt.Errorf("mixing: RelaxationSandwich needs a concrete backend")
 	}
 	if pi == nil {
 		var err error
-		pi, err = d.GibbsScratch(par, a)
+		pi, err = d.GibbsPar(par)
 		if err != nil {
 			return nil, fmt.Errorf("mixing: the %s backend needs a potential game (reversible chain with closed-form π): %w", backend, err)
 		}
@@ -148,15 +138,14 @@ func RelaxationSandwichScratch(d *logit.Dynamics, backend logit.Backend, eps flo
 			SpectralUpper:  hi,
 		}, nil
 	}
-	p, err := d.OperatorScratch(backend, par, a)
+	p, err := d.OperatorPar(backend, par)
 	if err != nil {
 		return nil, err
 	}
-	op, err := spectral.NewSymOperatorScratch(p, pi, a)
+	op, err := spectral.NewSymOperatorPar(p, pi, par)
 	if err != nil {
 		return nil, err
 	}
-	op.WithParallel(par)
 	res, err := spectral.Lanczos(op, lanczosMaxIter, 1e-12, rng.New(lanczosSeed))
 	if err != nil {
 		return nil, err

@@ -45,25 +45,15 @@ func AnalyzePotential(p game.Potential) (*PotentialStats, error) {
 // AnalyzePotentialPar is AnalyzePotential under an explicit worker budget:
 // the Φ tabulation and the Hamming-edge scan shard over profile ranges.
 // Extremal statistics combine with exact (order-independent) min/max, so
-// every worker count produces the same values.
+// every worker count produces the same values. The Φ table and the ζ
+// scan's temporaries check out of par.Arena (nil = fresh), so st.Phi is
+// arena memory whenever an arena is set: a caller that lets the table
+// outlive the analysis (a small-game report keeps it) must copy it out or
+// pass no arena.
 func AnalyzePotentialPar(p game.Potential, par linalg.ParallelConfig) (*PotentialStats, error) {
-	return AnalyzePotentialScratch(p, par, nil, true)
-}
-
-// AnalyzePotentialScratch is AnalyzePotentialPar with the analysis
-// temporaries checked out from the arena (nil = fresh). phiEscapes declares
-// whether the caller lets st.Phi outlive this analysis (small-game reports
-// keep the table; large-game reports elide it) — an escaping table is
-// always freshly allocated so it survives the arena's Reset.
-func AnalyzePotentialScratch(p game.Potential, par linalg.ParallelConfig, a *scratch.Arena, phiEscapes bool) (*PotentialStats, error) {
 	sp := game.SpaceOf(p)
 	size := sp.Size()
-	var phi []float64
-	if phiEscapes {
-		phi = make([]float64, size)
-	} else {
-		phi = a.F64(size)
-	}
+	phi := par.Arena.F64(size)
 	par.For(size, func(lo, hi int) {
 		x := make([]int, sp.Players())
 		for idx := lo; idx < hi; idx++ {
@@ -71,25 +61,15 @@ func AnalyzePotentialScratch(p game.Potential, par linalg.ParallelConfig, a *scr
 			phi[idx] = p.Phi(x)
 		}
 	})
-	return AnalyzePhiTableScratch(sp, phi, par, a)
+	return AnalyzePhiTablePar(sp, phi, par)
 }
 
-// AnalyzePhiTable computes the statistics from an explicit potential
-// table, serially.
-func AnalyzePhiTable(sp *game.Space, phi []float64) (*PotentialStats, error) {
-	return AnalyzePhiTablePar(sp, phi, linalg.Serial)
-}
-
-// AnalyzePhiTablePar is AnalyzePhiTable under an explicit worker budget.
+// AnalyzePhiTablePar computes the statistics from an explicit potential
+// table under an explicit worker budget. The ζ scan's size-proportional
+// temporaries (merge order, union-find state) check out of par.Arena (nil =
+// fresh). The returned stats reference phi, whose ownership stays with the
+// caller.
 func AnalyzePhiTablePar(sp *game.Space, phi []float64, par linalg.ParallelConfig) (*PotentialStats, error) {
-	return AnalyzePhiTableScratch(sp, phi, par, nil)
-}
-
-// AnalyzePhiTableScratch is AnalyzePhiTablePar with the ζ scan's
-// size-proportional temporaries (merge order, union-find state) checked out
-// from the arena (nil = fresh). The returned stats reference phi, whose
-// ownership stays with the caller.
-func AnalyzePhiTableScratch(sp *game.Space, phi []float64, par linalg.ParallelConfig, a *scratch.Arena) (*PotentialStats, error) {
 	if len(phi) != sp.Size() {
 		return nil, errors.New("mixing: potential table size mismatch")
 	}
@@ -116,7 +96,7 @@ func AnalyzePhiTableScratch(sp *game.Space, phi []float64, par linalg.ParallelCo
 	})
 	st.DeltaPhi = st.PhiMax - st.PhiMin
 	st.SmallDeltaPhi = maxLocalVariation(sp, phi, par)
-	st.Zeta = zeta(sp, phi, a)
+	st.Zeta = zeta(sp, phi, par.Arena)
 	return st, nil
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"logitdyn/internal/game"
 	"logitdyn/internal/graph"
+	"logitdyn/internal/linalg"
 )
 
 func TestAnalyzePotentialDoubleWell(t *testing.T) {
@@ -144,7 +145,7 @@ func TestAnalyzePotentialGraphicalClique(t *testing.T) {
 
 func TestAnalyzePhiTableSizeMismatch(t *testing.T) {
 	sp := game.NewSpace([]int{2, 2})
-	if _, err := AnalyzePhiTable(sp, make([]float64, 3)); err == nil {
+	if _, err := AnalyzePhiTablePar(sp, make([]float64, 3), linalg.Serial); err == nil {
 		t.Fatal("size mismatch must error")
 	}
 }
@@ -165,7 +166,7 @@ func TestZetaMatchesBruteForce(t *testing.T) {
 			sp.Decode(idx, x)
 			phi[idx] = g.Phi(x)
 		}
-		st, err := AnalyzePhiTable(sp, phi)
+		st, err := AnalyzePhiTablePar(sp, phi, linalg.Serial)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,19 +38,14 @@ type WelfareReport struct {
 	WorstNash float64
 }
 
-// StationaryWelfare computes the welfare report for the logit dynamics of g
-// at the dynamics' β. The profile space must be materializable. A caller
-// that already holds the stationary distribution passes it as pi; pi == nil
-// computes it here.
-func StationaryWelfare(d *logit.Dynamics, pi []float64) (*WelfareReport, error) {
-	return StationaryWelfarePar(d, pi, linalg.Serial)
-}
-
-// StationaryWelfarePar is StationaryWelfare under an explicit worker
-// budget. The expected-welfare sum reduces over fixed blocks and the
-// optimum scan keeps the first maximizer in index order (blocks combine in
-// block order, strict improvement wins), so the report — including the tie
-// break on OptProfile — is bit-identical for every worker count.
+// StationaryWelfarePar computes the welfare report for the logit dynamics
+// of g at the dynamics' β under an explicit worker budget. The profile
+// space must be materializable. A caller that already holds the stationary
+// distribution passes it as pi; pi == nil computes it here. The
+// expected-welfare sum reduces over fixed blocks and the optimum scan
+// keeps the first maximizer in index order (blocks combine in block order,
+// strict improvement wins), so the report — including the tie break on
+// OptProfile — is bit-identical for every worker count.
 func StationaryWelfarePar(d *logit.Dynamics, pi []float64, par linalg.ParallelConfig) (*WelfareReport, error) {
 	if pi == nil {
 		var err error

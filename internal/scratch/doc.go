@@ -3,7 +3,8 @@
 // out by shape and reset, not reallocated, so back-to-back analyses of the
 // same shape — a sweep's grid points, a benchmark's iterations, a daemon's
 // steady-state traffic — stop rebuilding the workspace the previous run
-// just threw away.
+// just threw away. An arena reaches the analysis code as the Arena field
+// of linalg.ParallelConfig, next to the worker budget it belongs with.
 //
 // Ownership rules (these are what make the layer safe, not the code):
 //
@@ -21,10 +22,10 @@
 //   - Reset/Release recycles every checkout at once. There is no per-slice
 //     free; the unit of reuse is the whole analysis.
 //   - Every entry point is nil-safe: a nil *Arena allocates fresh slices
-//     and a nil *Pool hands out nil arenas, so "-scratch=off" is simply the
-//     absence of an arena and the computed bits are identical either way.
-//     Reuse never changes results — checkouts are returned zeroed, exactly
-//     like make.
+//     and a nil *Pool hands out nil arenas, so "no arena" — the library
+//     default, a zero linalg.ParallelConfig.Arena — computes bits identical
+//     to any arena. Reuse never changes results — checkouts are returned
+//     zeroed, exactly like make.
 //
 // Shape keying is by slice length: a sweep over points of identical
 // (profiles, Lanczos block, maxIter) shape re-checks out the same

@@ -106,14 +106,12 @@ func (s *Service) writeProm(w http.ResponseWriter) {
 	p.Counter("logitdyn_parallel_extra_granted_total", "Extra worker tokens granted to intra-request parallelism.", nil, float64(m.Work.ParallelExtraGranted))
 	p.Counter("logitdyn_parallel_extra_denied_total", "Borrow requests that received fewer extra tokens than they asked for.", nil, float64(m.Work.ParallelExtraDenied))
 
-	if m.Scratch != nil {
-		scrHelp := "Scratch-arena checkouts, by kind (hit = recycled slice, miss = fresh allocation)."
-		p.Counter("logitdyn_scratch_checkouts_total", scrHelp, []obs.Label{{Name: "kind", Value: "hit"}}, float64(m.Scratch.Hits))
-		p.Counter("logitdyn_scratch_checkouts_total", scrHelp, []obs.Label{{Name: "kind", Value: "miss"}}, float64(m.Scratch.Misses))
-		p.Gauge("logitdyn_scratch_outstanding_bytes", "Arena bytes checked out by running analyses.", nil, float64(m.Scratch.OutstandingBytes))
-		p.Gauge("logitdyn_scratch_retained_bytes", "Arena bytes parked in free lists awaiting reuse.", nil, float64(m.Scratch.RetainedBytes))
-		p.Gauge("logitdyn_scratch_arenas", "Arenas the scratch pool has created.", nil, float64(m.Scratch.Arenas))
-	}
+	scrHelp := "Scratch-arena checkouts, by kind (hit = recycled slice, miss = fresh allocation)."
+	p.Counter("logitdyn_scratch_checkouts_total", scrHelp, []obs.Label{{Name: "kind", Value: "hit"}}, float64(m.Scratch.Hits))
+	p.Counter("logitdyn_scratch_checkouts_total", scrHelp, []obs.Label{{Name: "kind", Value: "miss"}}, float64(m.Scratch.Misses))
+	p.Gauge("logitdyn_scratch_outstanding_bytes", "Arena bytes checked out by running analyses.", nil, float64(m.Scratch.OutstandingBytes))
+	p.Gauge("logitdyn_scratch_retained_bytes", "Arena bytes parked in free lists awaiting reuse.", nil, float64(m.Scratch.RetainedBytes))
+	p.Gauge("logitdyn_scratch_arenas", "Arenas the scratch pool has created.", nil, float64(m.Scratch.Arenas))
 
 	if m.Journal != nil {
 		p.Gauge("logitdyn_journal_entries", "Live (queued/running) sweep jobs on disk in the journal.", nil, float64(m.Journal.Entries))

@@ -96,11 +96,6 @@ type Config struct {
 	// a fresh enabled observer with the default trace-ring size. Pass
 	// obs.Disabled() to turn instrumentation off entirely.
 	Obs *obs.Observer
-	// NoScratch disables the per-worker scratch arenas: every analysis
-	// allocates its working memory fresh, exactly as if the arena layer did
-	// not exist. Reports are bit-identical either way (the arenas zero
-	// every checkout); this is purely an escape hatch for memory debugging.
-	NoScratch bool
 	// Logger receives structured request/job logs; nil discards them.
 	Logger *slog.Logger
 	// SlowRequest, when > 0, logs a warning for any request that takes at
@@ -139,8 +134,7 @@ type Service struct {
 	cache *Cache
 	pool  *Pool
 	// scratch hands each analysis a per-worker arena alongside its Run
-	// token; nil (Config.NoScratch) hands out nil arenas, i.e. fresh
-	// allocations everywhere.
+	// token.
 	scratch *scratch.Pool
 	start   time.Time
 
@@ -225,15 +219,11 @@ func (s *Service) admit(w http.ResponseWriter, r *http.Request) bool {
 // New builds a Service from the config.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	var sp *scratch.Pool
-	if !cfg.NoScratch {
-		sp = scratch.NewPool()
-	}
 	return &Service{
 		cfg:     cfg,
 		cache:   NewCache(cfg.CacheSize),
 		pool:    NewPool(cfg.Workers),
-		scratch: sp,
+		scratch: scratch.NewPool(),
 		start:   time.Now(),
 		sweeps:  make(map[string]*sweepJob),
 	}
@@ -555,7 +545,7 @@ func (s *Service) analyzeOne(ctx context.Context, req AnalyzeRequest) (*AnalyzeR
 	// Materialize once and analyze the table, so the digest and the
 	// analysis don't each re-evaluate every lazy utility.
 	table := s.materialize(ctx, g)
-	return s.analyzeBuilt(ctx, table, GameDigest(table), name, req.Beta, req.Eps, req.MaxT, req.Backend)
+	return s.analyzeBuilt(ctx, table, store.GameDigest(table), name, req.Beta, req.Eps, req.MaxT, req.Backend)
 }
 
 // borrowFor sizes and takes an extra-token loan for a task with n
@@ -625,7 +615,7 @@ func (s *Service) analyzeBuiltTier(ctx context.Context, g game.Game, digest [32]
 	// The cache key is derived before the worker budget is known: the
 	// budget never changes the report (linalg's parallel reductions use
 	// fixed block boundaries), so Parallel must not split cache slots.
-	key := KeyFrom(digest, beta, opts)
+	key := store.KeyFrom(digest, beta, opts)
 	// fromStore/missed are written at most once, by the one goroutine
 	// singleflight lets into the miss function (Do runs it inline), and
 	// read only after Do returns.
@@ -669,12 +659,12 @@ func (s *Service) analyzeBuiltTier(ctx context.Context, g game.Game, digest [32]
 			// The arena rides the Run token: one analysis owns it until the
 			// closure returns, then Release resets and parks it for the next
 			// same-shape analysis. Never affects the report (see
-			// core.Options.Scratch).
+			// core.Options.Parallel).
 			ar := s.scratch.Acquire()
 			defer s.scratch.Release(ar)
 			runOpts := opts
 			runOpts.Parallel = par
-			runOpts.Scratch = ar
+			runOpts.Parallel.Arena = ar
 			rep, aerr = core.AnalyzeGameCtx(ctx, g, beta, runOpts)
 		})
 		if aerr != nil {
@@ -794,7 +784,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		table := s.materialize(r.Context(), g)
-		digest := GameDigest(table)
+		digest := store.GameDigest(table)
 		results = sim.Map(req.Betas, 0, s.pool.Workers(), func(_ int, beta float64, _ *rng.RNG) BatchItemResult {
 			resp, err := s.analyzeBuilt(r.Context(), table, digest, name, beta, req.Eps, req.MaxT, req.Backend)
 			if err != nil {
@@ -908,9 +898,9 @@ func (s *Service) finishSimulationDoc(p *simPrep, counts []int64, par linalg.Par
 	// comes from the same per-token arena the analyze path uses. The
 	// measure itself is freshly allocated, so nothing arena-backed
 	// outlives the release.
-	ar := s.scratch.Acquire()
-	defer s.scratch.Release(ar)
-	if gibbs, gerr := p.d.GibbsScratch(par, ar); gerr == nil {
+	par.Arena = s.scratch.Acquire()
+	defer s.scratch.Release(par.Arena)
+	if gibbs, gerr := p.d.GibbsPar(par); gerr == nil {
 		p.doc.TVGibbs = serialize.Float(markov.TVDistance(emp, gibbs))
 	} else {
 		p.doc.TVGibbs = serialize.Float(math.NaN())
@@ -1103,8 +1093,8 @@ type MetricsDoc struct {
 	// record/remove/replay counters); omitted when no journal is attached.
 	Journal *JournalMetrics `json:"journal,omitempty"`
 	// Scratch is the per-worker arena pool's state (checkout hit rate,
-	// outstanding vs retained bytes); omitted when scratch is disabled.
-	Scratch *scratch.Metrics `json:"scratch,omitempty"`
+	// outstanding vs retained bytes).
+	Scratch scratch.Metrics `json:"scratch"`
 	// Observability is the stage-latency histograms and trace-ring state;
 	// omitted when the observer is disabled.
 	Observability *obs.MetricsDoc `json:"observability,omitempty"`
@@ -1131,11 +1121,6 @@ func (s *Service) Metrics() MetricsDoc {
 	if s.cfg.Obs.Enabled() {
 		d := s.cfg.Obs.Snapshot()
 		obsDoc = &d
-	}
-	var scratchDoc *scratch.Metrics
-	if s.scratch != nil {
-		m := s.scratch.Metrics()
-		scratchDoc = &m
 	}
 	var journalDoc *JournalMetrics
 	if s.cfg.Journal != nil {
@@ -1170,7 +1155,7 @@ func (s *Service) Metrics() MetricsDoc {
 			LongPolls:        s.sweepLongPolls.Load(),
 		},
 		Journal:       journalDoc,
-		Scratch:       scratchDoc,
+		Scratch:       s.scratch.Metrics(),
 		Observability: obsDoc,
 		Work: WorkMetrics{
 			AnalysesPerformed: s.analyses.Load(),

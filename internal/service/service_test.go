@@ -9,6 +9,7 @@ import (
 	"logitdyn/internal/game"
 	"logitdyn/internal/serialize"
 	"logitdyn/internal/spec"
+	"logitdyn/internal/store"
 )
 
 func TestCanonicalKeySpecMatchesMaterializedTable(t *testing.T) {
@@ -25,8 +26,8 @@ func TestCanonicalKeySpecMatchesMaterializedTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.Options{}
-	k1 := CanonicalKey(g, 1.5, opts)
-	k2 := CanonicalKey(tg, 1.5, opts)
+	k1 := store.CanonicalKey(g, 1.5, opts)
+	k2 := store.CanonicalKey(tg, 1.5, opts)
 	if k1 != k2 {
 		t.Fatalf("spec-built and table-built keys differ: %s vs %s", k1, k2)
 	}
@@ -34,19 +35,19 @@ func TestCanonicalKeySpecMatchesMaterializedTable(t *testing.T) {
 
 func TestCanonicalKeySensitivity(t *testing.T) {
 	g, _ := game.NewCoordination2x2(3, 2, 0, 0)
-	base := CanonicalKey(g, 1, core.Options{})
-	if k := CanonicalKey(g, 1.0000001, core.Options{}); k == base {
+	base := store.CanonicalKey(g, 1, core.Options{})
+	if k := store.CanonicalKey(g, 1.0000001, core.Options{}); k == base {
 		t.Fatal("key must depend on beta")
 	}
-	if k := CanonicalKey(g, 1, core.Options{Eps: 0.1}); k == base {
+	if k := store.CanonicalKey(g, 1, core.Options{Eps: 0.1}); k == base {
 		t.Fatal("key must depend on eps")
 	}
 	g2, _ := game.NewCoordination2x2(3, 2.5, 0, 0)
-	if k := CanonicalKey(g2, 1, core.Options{}); k == base {
+	if k := store.CanonicalKey(g2, 1, core.Options{}); k == base {
 		t.Fatal("key must depend on the payoff tables")
 	}
 	// Defaults normalize: zero options and explicit defaults are one key.
-	if k := CanonicalKey(g, 1, core.Options{Eps: 0.25, MaxT: 1 << 62}); k != base {
+	if k := store.CanonicalKey(g, 1, core.Options{Eps: 0.25, MaxT: 1 << 62}); k != base {
 		t.Fatal("explicitly spelled default options must hash like the zero value")
 	}
 }

@@ -6,9 +6,7 @@ import (
 	"math"
 
 	"logitdyn/internal/linalg"
-	"logitdyn/internal/markov"
 	"logitdyn/internal/rng"
-	"logitdyn/internal/scratch"
 )
 
 // Iterative spectral analysis. Dense decomposition is O(|S|³) and caps exact
@@ -28,61 +26,51 @@ type SymOperator struct {
 	p       linalg.Operator
 	sqrtPi  []float64
 	scratch []float64
-	// par is the worker budget for the element-wise scalings in Apply and
-	// the re-orthogonalization inside Lanczos. It never affects results:
-	// scalings are element-wise and the dot products reduce over fixed
-	// blocks (see linalg/parallel.go).
+	// par is the execution value for the element-wise scalings in Apply
+	// and the re-orthogonalization inside Lanczos. The worker budget never
+	// affects results: scalings are element-wise and the dot products
+	// reduce over fixed blocks (see linalg/parallel.go). par.Arena, when
+	// set, supplies the Lanczos workspace (basis block, iteration vectors);
+	// sweeps over same-shape points hand the same arena back in, so the
+	// Krylov basis is recycled instead of reallocated. Checkouts come back
+	// zeroed, so reuse never changes computed bits.
 	par linalg.ParallelConfig
-	// arena supplies the Lanczos workspace (basis block, iteration vectors)
-	// when set; nil means every vector is freshly allocated. Sweeps over
-	// same-shape points hand the same arena back in, so the Krylov basis is
-	// recycled instead of reallocated. Checkouts come back zeroed, so reuse
-	// never changes computed bits.
-	arena *scratch.Arena
 }
-
-// SparseOperator is the historical name of SymOperator, kept for callers
-// that predate the multi-backend refactor.
-type SparseOperator = SymOperator
 
 // NewSymOperator validates inputs and precomputes sqrt(π). The operator p
 // must be the row-stochastic transition matrix of a chain reversible with
 // respect to π (potential games are, by the paper's Eq. 4).
 func NewSymOperator(p linalg.Operator, pi []float64) (*SymOperator, error) {
-	return NewSymOperatorScratch(p, pi, nil)
+	return NewSymOperatorPar(p, pi, linalg.ParallelConfig{})
 }
 
-// NewSymOperatorScratch is NewSymOperator with sqrt(π) and the apply
-// scratch checked out from the arena (nil = fresh), and the arena installed
-// as the Lanczos workspace source. The operator must not outlive the
-// analysis that owns a.
-func NewSymOperatorScratch(p linalg.Operator, pi []float64, a *scratch.Arena) (*SymOperator, error) {
+// NewSymOperatorPar is NewSymOperator with par installed as the operator's
+// execution value (see WithParallel): sqrt(π) and the apply scratch check
+// out of par.Arena (nil = fresh), which then also supplies the Lanczos
+// workspace. An arena-backed operator must not outlive the analysis that
+// owns the arena.
+func NewSymOperatorPar(p linalg.Operator, pi []float64, par linalg.ParallelConfig) (*SymOperator, error) {
 	rows, cols := p.Dims()
 	if rows != cols || rows != len(pi) {
 		return nil, errors.New("spectral: operator size mismatch")
 	}
-	sqrtPi := a.F64(len(pi))
+	sqrtPi := par.Arena.F64(len(pi))
 	for i, v := range pi {
 		if v <= 0 {
 			return nil, fmt.Errorf("spectral: π(%d) = %g must be positive", i, v)
 		}
 		sqrtPi[i] = math.Sqrt(v)
 	}
-	return &SymOperator{p: p, sqrtPi: sqrtPi, scratch: a.F64(rows), arena: a}, nil
+	return &SymOperator{p: p, sqrtPi: sqrtPi, scratch: par.Arena.F64(rows), par: par}, nil
 }
 
-// WithParallel sets the operator's worker budget (for Apply's element-wise
-// scalings and the Lanczos re-orthogonalization) and returns it. The
-// backend operator p carries its own budget for the mat-vec itself.
+// WithParallel sets the operator's execution value (the worker budget for
+// Apply's element-wise scalings and the Lanczos re-orthogonalization, the
+// arena for the Lanczos workspace) and returns it. The backend operator p
+// carries its own budget for the mat-vec itself.
 func (op *SymOperator) WithParallel(par linalg.ParallelConfig) *SymOperator {
 	op.par = par
 	return op
-}
-
-// NewSparseOperator wraps the row-list sparse chain, preserved as the
-// historical entry point of the Lanczos path.
-func NewSparseOperator(s *markov.Sparse, pi []float64) (*SymOperator, error) {
-	return NewSymOperator(s, pi)
 }
 
 // N returns the state count.
@@ -192,12 +180,12 @@ func Lanczos(op *SymOperator, maxIter int, tol float64, r *rng.RNG) (*LanczosRes
 	// work vector and each retained basis vector — checks out of the
 	// operator's arena (fresh allocations when none is installed), so a
 	// sweep revisiting this shape reuses the whole Krylov block.
-	psi1 := op.arena.F64(n)
+	psi1 := par.Arena.F64(n)
 	copy(psi1, op.sqrtPi)
 	normalize(psi1)
 
 	// Random start orthogonal to ψ1.
-	v := op.arena.F64(n)
+	v := par.Arena.F64(n)
 	for i := range v {
 		v[i] = r.Float64() - 0.5
 	}
@@ -211,7 +199,7 @@ func Lanczos(op *SymOperator, maxIter int, tol float64, r *rng.RNG) (*LanczosRes
 	var alphas, betas []float64
 	prevLo, prevHi := math.Inf(-1), math.Inf(1)
 	converged := false
-	w := op.arena.F64(n)
+	w := par.Arena.F64(n)
 	for k := 0; k < maxIter; k++ {
 		vk := basis[len(basis)-1]
 		op.Apply(w, vk)
@@ -243,7 +231,7 @@ func Lanczos(op *SymOperator, maxIter int, tol float64, r *rng.RNG) (*LanczosRes
 			prevLo, prevHi = lo, hi
 		}
 		betas = append(betas, beta)
-		next := op.arena.F64(n)
+		next := par.Arena.F64(n)
 		copy(next, w)
 		linalg.Scale(1/beta, next)
 		basis = append(basis, next)

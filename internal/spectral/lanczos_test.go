@@ -21,7 +21,7 @@ func lanczosForGame(t *testing.T, g game.Game, beta float64, iters int) (*Lanczo
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := NewSparseOperator(d.TransitionSparse(), pi)
+	op, err := NewSymOperator(d.TransitionSparse(), pi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestLanczosOperatorFixesTopVector(t *testing.T) {
 	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
 	d, _ := logit.New(base, 1)
 	pi, _ := d.Stationary()
-	op, err := NewSparseOperator(d.TransitionSparse(), pi)
+	op, err := NewSymOperator(d.TransitionSparse(), pi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestLanczosEarlyTermination(t *testing.T) {
 	_ = base
 	s := sparseTwoState(a, b)
 	pi := []float64{b / (a + b), a / (a + b)}
-	op, err := NewSparseOperator(s, pi)
+	op, err := NewSymOperator(s, pi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +139,13 @@ func sparseTwoState(a, b float64) *markov.Sparse {
 
 func TestLanczosValidation(t *testing.T) {
 	s := sparseTwoState(0.3, 0.2)
-	if _, err := NewSparseOperator(s, []float64{0.5}); err == nil {
+	if _, err := NewSymOperator(s, []float64{0.5}); err == nil {
 		t.Error("size mismatch must error")
 	}
-	if _, err := NewSparseOperator(s, []float64{1, 0}); err == nil {
+	if _, err := NewSymOperator(s, []float64{1, 0}); err == nil {
 		t.Error("zero mass must error")
 	}
-	op, _ := NewSparseOperator(s, []float64{0.4, 0.6})
+	op, _ := NewSymOperator(s, []float64{0.4, 0.6})
 	if _, err := Lanczos(op, 1, 1e-12, rng.New(1)); err == nil {
 		t.Error("maxIter < 2 must error")
 	}

@@ -41,7 +41,7 @@ func TestDirectEvalTypedNilPool(t *testing.T) {
 		Base: spec.Spec{Game: "doublewell", N: 4, C: 2, Delta1: 1},
 	}
 	var nilPool *fakePool
-	r := &Runner{Eval: DirectEval(nil, nilPool), Workers: 2}
+	r := &Runner{Eval: DirectEvalScratch(nil, nilPool, nil), Workers: 2}
 	res, stats, err := r.Run(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)

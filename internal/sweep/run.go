@@ -486,25 +486,21 @@ func evalSafely(ctx context.Context, eval Eval, j *Job) (out Outcome, err error)
 	return eval(ctx, j)
 }
 
-// DirectEval evaluates jobs against the store with no daemon in the loop:
-// a store hit is returned as-is (zero re-analysis), a miss runs
+// DirectEvalScratch evaluates jobs against the store with no daemon in the
+// loop: a store hit is returned as-is (zero re-analysis), a miss runs
 // core.AnalyzeGame on one pool token (borrowing idle tokens for
 // intra-analysis parallelism) and writes the report back. st is any
 // cluster.ReportStore — a plain store, a sharded ring, or a peer-backed
 // composition; the table bytes are identical whichever one holds the
 // entries. st and pool may each be nil (no persistence / unbounded by
 // tokens).
-func DirectEval(st cluster.ReportStore, pool TokenPool) Eval {
-	return DirectEvalScratch(st, pool, nil)
-}
-
-// DirectEvalScratch is DirectEval with a scratch-arena pool: each analyzed
-// point checks an arena out alongside its worker token and releases it when
-// the point completes, so consecutive same-shape points (a β-sweep over one
-// family) reuse the whole workspace — CSR arrays, potential table, Lanczos
-// basis — instead of reallocating it. A nil sp analyzes with fresh
-// allocations, exactly like DirectEval; results are bit-identical either
-// way.
+//
+// Each analyzed point checks an arena out of sp alongside its worker token
+// (riding in its linalg.ParallelConfig) and releases it when the point
+// completes, so consecutive same-shape points (a β-sweep over one family)
+// reuse the whole workspace — CSR arrays, potential table, Lanczos basis —
+// instead of reallocating it. A nil sp analyzes with fresh allocations;
+// results are bit-identical either way.
 func DirectEvalScratch(st cluster.ReportStore, pool TokenPool, sp *scratch.Pool) Eval {
 	pool = poolOrNil(pool)
 	// Same typed-nil trap as poolOrNil: a nil *store.Store threaded through
@@ -542,7 +538,7 @@ func DirectEvalScratch(st cluster.ReportStore, pool TokenPool, sp *scratch.Pool)
 			}
 			ar := sp.Acquire()
 			defer sp.Release(ar)
-			opts.Scratch = ar
+			opts.Parallel.Arena = ar
 			rep, aerr = core.AnalyzeGameCtx(ctx, table, j.Beta, opts)
 		}
 		switch p := pool.(type) {

@@ -28,8 +28,7 @@ func encodeScratchCase(t *testing.T, s spec.Spec, name, backend string, workers 
 	}
 	rep, err := core.AnalyzeGame(g, goldenBeta, core.Options{
 		Backend:  backend,
-		Parallel: linalg.ParallelConfig{Workers: workers, MinRows: 1},
-		Scratch:  ar,
+		Parallel: linalg.ParallelConfig{Workers: workers, MinRows: 1, Arena: ar},
 	})
 	if err != nil {
 		t.Fatalf("%s/%s: %v", name, backend, err)
