@@ -425,7 +425,9 @@ func BenchmarkParallelServiceAnalyze65536(b *testing.B) {
 // sparse analysis used to cost 134,360 allocs/op; the arena + in-place hot
 // paths brought the warm steady state under the budgets below, and any
 // change that silently re-introduces per-iteration allocation on the hot
-// path fails here. CI runs them with -benchtime 3x.
+// path fails here. CI runs them with -benchtime 3x -cpu 1, the shape the
+// budgets were measured on: at more CPUs every parallel loop's goroutine
+// spawns count as allocations too.
 
 // allocBudgetSparseAnalyze65536 bounds allocated OBJECTS per warm-arena
 // 65,536-profile sparse analysis. Measured steady state is ~400; the

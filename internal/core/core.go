@@ -212,6 +212,7 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, opts Options) (*Report, error
 			rep.MinEigenvalue = res.MinEigenvalue
 			rep.SpectralLower = res.SpectralLower
 			rep.SpectralUpper = res.SpectralUpper
+			pi = res.Stationary
 		} else {
 			// Non-reversible chains (non-potential games) have no symmetric
 			// spectral decomposition; measure by brute-force evolution instead

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"logitdyn/internal/game"
 	"logitdyn/internal/graph"
 	"logitdyn/internal/markov"
+	"logitdyn/internal/mixing"
+	"logitdyn/internal/obs"
 )
 
 func coordGame(t *testing.T) game.Coordination2x2 {
@@ -129,9 +133,10 @@ func TestAnalyzeNonPotentialGame(t *testing.T) {
 	}
 }
 
-func TestAnalyzeReconstructsUndeclaredPotential(t *testing.T) {
-	// A common-interest game materialized WITHOUT its potential table:
-	// Analyze must reconstruct it.
+// bareDoubleWell is the 4-player double well materialized WITHOUT its
+// potential table.
+func bareDoubleWell(t *testing.T) *game.TableGame {
+	t.Helper()
 	dw, err := game.NewDoubleWell(4, 2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +150,13 @@ func TestAnalyzeReconstructsUndeclaredPotential(t *testing.T) {
 			bare.SetUtilityIndexed(i, idx, dw.Utility(i, x))
 		}
 	}
-	a, err := NewAnalyzer(bare, 1)
+	return bare
+}
+
+func TestAnalyzeReconstructsUndeclaredPotential(t *testing.T) {
+	// A common-interest game materialized WITHOUT its potential table:
+	// Analyze must reconstruct it.
+	a, err := NewAnalyzer(bareDoubleWell(t), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +169,35 @@ func TestAnalyzeReconstructsUndeclaredPotential(t *testing.T) {
 	}
 	if math.Abs(rep.Stats.DeltaPhi-2) > 1e-9 {
 		t.Errorf("reconstructed ΔΦ = %g, want 2", rep.Stats.DeltaPhi)
+	}
+}
+
+func TestDenseRouteComputesStationaryOnce(t *testing.T) {
+	// A potential game stripped of its Φ table has no closed-form Gibbs
+	// measure, so π comes from a dense solve. The exact route must reuse
+	// the π its decomposition used instead of solving again: the trace has
+	// no stationary stage, and the report carries that π.
+	a, err := NewAnalyzer(bareDoubleWell(t), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New(4)
+	tr := o.StartTrace("analyze")
+	rep, err := a.AnalyzeCtx(obs.With(context.Background(), o, tr), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range tr.Doc(true).Spans {
+		if s.Stage == obs.StageStationary {
+			t.Fatalf("dense exact route recomputed π: spans %+v", tr.Doc(true).Spans)
+		}
+	}
+	res, err := mixing.ExactMixingTime(a.dyn, mixing.DefaultEps, 1<<62)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rep.Stationary, res.Stationary) {
+		t.Fatalf("report π %v differs from the decomposition's %v", rep.Stationary, res.Stationary)
 	}
 }
 

@@ -21,34 +21,45 @@ type EigenSym struct {
 // is not square or the QL iteration fails to converge (which, for symmetric
 // input, indicates NaN/Inf entries).
 func SymEigen(a *Dense) (*EigenSym, error) {
-	if a.Rows != a.Cols {
+	return SymEigenInPlace(a.Clone())
+}
+
+// SymEigenInPlace is SymEigen for a matrix the caller no longer needs: z
+// accumulates the orthogonal transformation and becomes the returned
+// Vectors, so no n×n copy is made. z's contents are undefined on error.
+func SymEigenInPlace(z *Dense) (*EigenSym, error) {
+	if z.Rows != z.Cols {
 		return nil, errors.New("linalg: SymEigen of non-square matrix")
 	}
-	n := a.Rows
-	for _, v := range a.Data {
+	n := z.Rows
+	for _, v := range z.Data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, errors.New("linalg: SymEigen of matrix with NaN/Inf")
 		}
 	}
-	// Work on a copy; z accumulates the orthogonal transformation.
-	z := a.Clone()
 	d := make([]float64, n) // diagonal
 	e := make([]float64, n) // off-diagonal
 	tred2(z, d, e)
 	if err := tql2(z, d, e); err != nil {
 		return nil, err
 	}
-	// Sort ascending by eigenvalue, permuting eigenvector columns.
+	// Sort ascending by eigenvalue, permuting z's eigenvector columns in
+	// place one row at a time, so z itself becomes Vectors.
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(i, j int) bool { return d[idx[i]] < d[idx[j]] })
-	es := &EigenSym{Values: make([]float64, n), Vectors: NewDense(n, n)}
+	es := &EigenSym{Values: make([]float64, n), Vectors: z}
 	for k, src := range idx {
 		es.Values[k] = d[src]
-		for i := 0; i < n; i++ {
-			es.Vectors.Set(i, k, z.At(i, src))
+	}
+	tmp := make([]float64, n)
+	for i := 0; i < n; i++ {
+		row := z.Row(i)
+		copy(tmp, row)
+		for k, src := range idx {
+			row[k] = tmp[src]
 		}
 	}
 	return es, nil

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -107,6 +108,25 @@ func TestSymEigenRandomSizes(t *testing.T) {
 		if !almostEqual(tr, Sum(es.Values), 1e-9) {
 			t.Fatalf("n=%d: trace %v != Σλ %v", n, tr, Sum(es.Values))
 		}
+	}
+}
+
+func TestSymEigenInPlaceReusesInput(t *testing.T) {
+	a := randomSymmetric(16, 0.37)
+	want, err := SymEigen(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := a.Clone()
+	got, err := SymEigenInPlace(z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Vectors != z {
+		t.Fatal("SymEigenInPlace must return its input as Vectors")
+	}
+	if !slices.Equal(got.Values, want.Values) || !slices.Equal(got.Vectors.Data, want.Vectors.Data) {
+		t.Fatal("SymEigenInPlace differs from SymEigen")
 	}
 }
 

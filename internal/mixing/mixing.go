@@ -38,6 +38,9 @@ type Result struct {
 	// the iteration cap ran out before the Ritz values stabilized, in
 	// which case λ* (and the sandwich derived from it) are lower bounds.
 	Converged bool
+	// Stationary is the stationary distribution the dense decomposition
+	// used, so callers need not compute it again; nil on the Lanczos route.
+	Stationary []float64
 }
 
 // ExactMixingTime decomposes the logit chain of d and returns the exact
@@ -79,6 +82,7 @@ func ExactMixingTimePar(d *logit.Dynamics, eps float64, maxT int64, par linalg.P
 		MinEigenvalue:  dec.MinEigenvalue(),
 		SpectralLower:  lo,
 		SpectralUpper:  hi,
+		Stationary:     pi,
 	}, nil
 }
 

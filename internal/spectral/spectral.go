@@ -14,13 +14,26 @@
 // where ψ_k are A's orthonormal eigenvectors. Eigenvalues with negligible
 // |λ_k|^t are pruned, so evaluations at large t touch only the handful of
 // slow modes.
+//
+// One kernel evaluates every d(t) sum. The retained modes form contiguous
+// column runs (slow positive modes at the front of the spectrum, slow
+// negative ones at the back), read straight from the rows of the
+// eigenvector matrix; starts are evaluated four at a time with independent
+// accumulators that share each row load; and MixingTime's search asks only
+// whether d(t) <= ε, so each probe stops at the first start whose distance
+// exceeds ε. That early exit is exact: a floating-point sum of
+// non-negative terms never decreases as terms are added. Every per-(x, y)
+// operation keeps one fixed order, so d(t) is bit-identical for every
+// worker count.
 package spectral
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"logitdyn/internal/linalg"
 	"logitdyn/internal/markov"
@@ -89,19 +102,17 @@ func Decompose(p *linalg.Dense, pi []float64) (*Decomposition, error) {
 			a.Set(y, x, m)
 		}
 	}
-	es, err := linalg.SymEigen(a)
+	es, err := linalg.SymEigenInPlace(a)
 	if err != nil {
 		return nil, err
 	}
-	// SymEigen sorts ascending; flip to the chain convention λ1 >= λ2 >= …
-	vals := make([]float64, n)
-	psi := linalg.NewDense(n, n)
-	for k := 0; k < n; k++ {
-		src := n - 1 - k
-		vals[k] = es.Values[src]
-		for i := 0; i < n; i++ {
-			psi.Set(i, k, es.Vectors.At(i, src))
-		}
+	// a now holds the eigenvectors, sorted ascending; flip to the chain
+	// convention λ1 >= λ2 >= … by reversing the values and every row.
+	vals := es.Values
+	slices.Reverse(vals)
+	psi := es.Vectors
+	for i := 0; i < n; i++ {
+		slices.Reverse(psi.Row(i))
 	}
 	if math.Abs(vals[0]-1) > 1e-8 {
 		return nil, fmt.Errorf("spectral: top eigenvalue %g, want 1", vals[0])
@@ -145,55 +156,120 @@ func (d *Decomposition) MinEigenvalue() float64 { return d.Values[len(d.Values)-
 // Distance returns d(t) = max_x ||P^t(x,·) − π||_TV computed exactly from
 // the decomposition. Eigenvalues whose |λ|^t cannot contribute more than
 // ~1e-15 to any entry are pruned, so large t is cheap. t must be >= 0.
+//
+// Its kernel, shared with DistanceFrom and MixingTime, reads the retained
+// modes as contiguous column runs of Psi's rows and evaluates four starts
+// per pass, sharing each Ψ(y, ·) load. Every per-(x, y) operation keeps
+// one order — λ_k^t·Ψ(x,k)/√π(x), then Σ_k in increasing k, then
+// Σ_y |dev|·√π(y) — so the result is bit-identical for every worker count.
+// Distance runs the kernel with no limit; MixingTime's probes stop at the
+// first start whose distance exceeds ε + TVTol.
 func (d *Decomposition) Distance(t int64) float64 {
-	n := len(d.Values)
+	return d.worstTV(t, 0, len(d.Values), math.Inf(1))
+}
+
+// startBlock is how many starts one kernel pass evaluates together.
+const startBlock = 4
+
+// worstTV returns max ||P^t(x,·) − π||_TV over the starts x in [lo, hi).
+// Once any start's distance exceeds limit the sweep stops, across workers,
+// and returns a value above limit: sums of non-negative terms never
+// decrease as terms are added, so d(t) <= limit holds exactly when the
+// result is <= limit. With limit = +Inf it is the exact maximum.
+func (d *Decomposition) worstTV(t int64, lo, hi int, limit float64) float64 {
 	if t < 0 {
 		panic("spectral: negative time")
 	}
-	// λ^t for each retained eigenvalue.
-	type mode struct {
-		k  int
-		lt float64
-	}
-	modes := make([]mode, 0, n-1)
+	n := len(d.Values)
+	// λ_k^t at the retained modes, and those modes as half-open column
+	// runs [runs[2i], runs[2i+1]) in increasing k.
+	lt := make([]float64, n)
+	var runs []int
 	for k := 1; k < n; k++ {
-		lt := powInt(d.Values[k], t)
-		if math.Abs(lt) > 1e-17 {
-			modes = append(modes, mode{k: k, lt: lt})
+		v := powInt(d.Values[k], t)
+		if math.Abs(v) <= 1e-17 {
+			continue
+		}
+		lt[k] = v
+		if m := len(runs); m > 0 && runs[m-1] == k {
+			runs[m-1] = k + 1
+		} else {
+			runs = append(runs, k, k+1)
 		}
 	}
-	if len(modes) == 0 {
+	if len(runs) == 0 {
 		return 0
 	}
-	worst := 0.0
+	var stop atomic.Bool
 	var mu sync.Mutex
-	// For each start x: P^t(x,y) − π(y) = (sqrtPi[y]/sqrtPi[x]) Σ λ^t ψ(x)ψ(y).
-	d.par.For(n, func(lo, hi int) {
-		localWorst := 0.0
-		coef := make([]float64, len(modes))
-		for x := lo; x < hi; x++ {
-			for j, m := range modes {
-				coef[j] = m.lt * d.Psi.At(x, m.k) / d.sqrtPi[x]
-			}
-			sum := 0.0
-			for y := 0; y < n; y++ {
-				dev := 0.0
-				for j, m := range modes {
-					dev += coef[j] * d.Psi.At(y, m.k)
+	worst := 0.0
+	d.par.For(hi-lo, func(a, b int) {
+		coef := make([]float64, startBlock*n)
+		local := 0.0
+		for x := lo + a; x < lo+b && !stop.Load(); x += startBlock {
+			m := min(startBlock, lo+b-x)
+			sums := d.tvBlock(x, m, lt, runs, coef)
+			for _, s := range sums[:m] {
+				if tv := s / 2; tv > local {
+					local = tv
 				}
-				sum += math.Abs(dev) * d.sqrtPi[y]
 			}
-			if tv := sum / 2; tv > localWorst {
-				localWorst = tv
+			if local > limit {
+				stop.Store(true)
 			}
 		}
 		mu.Lock()
-		if localWorst > worst {
-			worst = localWorst
+		if local > worst {
+			worst = local
 		}
 		mu.Unlock()
 	})
 	return worst
+}
+
+// tvBlock returns 2·||P^t(x,·) − π||_TV for the m <= startBlock starts
+// x0, …, x0+m−1 (unused lanes read zero coefficients and are discarded).
+// coef is the caller's startBlock·n buffer.
+func (d *Decomposition) tvBlock(x0, m int, lt []float64, runs []int, coef []float64) [startBlock]float64 {
+	n := len(d.Values)
+	for i := 0; i < startBlock; i++ {
+		c := coef[i*n : (i+1)*n]
+		if i >= m {
+			clear(c)
+			continue
+		}
+		x := x0 + i
+		psiX := d.Psi.Row(x)
+		for r := 0; r < len(runs); r += 2 {
+			for k := runs[r]; k < runs[r+1]; k++ {
+				c[k] = lt[k] * psiX[k] / d.sqrtPi[x]
+			}
+		}
+	}
+	c0, c1, c2, c3 := coef[:n], coef[n:2*n], coef[2*n:3*n], coef[3*n:4*n]
+	var s0, s1, s2, s3 float64
+	for y := 0; y < n; y++ {
+		row := d.Psi.Row(y)
+		var d0, d1, d2, d3 float64
+		for r := 0; r < len(runs); r += 2 {
+			k0, k1 := runs[r], runs[r+1]
+			seg := row[k0:k1]
+			a0, a1, a2, a3 := c0[k0:k1], c1[k0:k1], c2[k0:k1], c3[k0:k1]
+			a0, a1, a2, a3 = a0[:len(seg)], a1[:len(seg)], a2[:len(seg)], a3[:len(seg)]
+			for j, v := range seg {
+				d0 += a0[j] * v
+				d1 += a1[j] * v
+				d2 += a2[j] * v
+				d3 += a3[j] * v
+			}
+		}
+		w := d.sqrtPi[y]
+		s0 += math.Abs(d0) * w
+		s1 += math.Abs(d1) * w
+		s2 += math.Abs(d2) * w
+		s3 += math.Abs(d3) * w
+	}
+	return [startBlock]float64{s0, s1, s2, s3}
 }
 
 // DistributionAt returns the exact distribution P^t(x, ·) of the chain
@@ -225,21 +301,10 @@ func (d *Decomposition) DistributionAt(x int, t int64) []float64 {
 }
 
 // DistanceFrom returns ||P^t(x,·) − π||_TV for a single starting state.
+// It is a one-start call of Distance's kernel, so Distance(t) is exactly
+// the largest DistanceFrom(x, t).
 func (d *Decomposition) DistanceFrom(x int, t int64) float64 {
-	n := len(d.Values)
-	sum := 0.0
-	for y := 0; y < n; y++ {
-		dev := 0.0
-		for k := 1; k < n; k++ {
-			lt := powInt(d.Values[k], t)
-			if math.Abs(lt) <= 1e-17 {
-				continue
-			}
-			dev += lt * d.Psi.At(x, k) * d.Psi.At(y, k)
-		}
-		sum += math.Abs(dev) * d.sqrtPi[y] / d.sqrtPi[x]
-	}
-	return sum / 2
+	return d.worstTV(t, x, x+1, math.Inf(1))
 }
 
 // TVTol is the floating-point slack applied when comparing a computed TV
@@ -256,7 +321,8 @@ func (d *Decomposition) MixingTime(eps float64, maxT int64) (int64, error) {
 	if eps <= 0 || eps >= 1 {
 		return 0, fmt.Errorf("spectral: ε must be in (0,1), got %g", eps)
 	}
-	mixed := func(t int64) bool { return d.Distance(t) <= eps+TVTol }
+	limit := eps + TVTol
+	mixed := func(t int64) bool { return d.mixedAt(t, limit) }
 	if mixed(0) {
 		return 0, nil
 	}
@@ -283,6 +349,12 @@ func (d *Decomposition) MixingTime(eps float64, maxT int64) (int64, error) {
 		}
 	}
 	return hi, nil
+}
+
+// mixedAt reports d(t) <= limit through Distance's kernel, stopping at the
+// first start whose distance exceeds limit.
+func (d *Decomposition) mixedAt(t int64, limit float64) bool {
+	return d.worstTV(t, 0, len(d.Values), limit) <= limit
 }
 
 // MixingTimeBoundsFromRelaxation returns the Theorem 2.3 sandwich
