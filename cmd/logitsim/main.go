@@ -63,18 +63,26 @@ func main() {
 		fmt.Fprintf(os.Stderr, "logitsim: -replicas must be >= 1\n")
 		os.Exit(2)
 	}
+	if *steps < 1 {
+		fmt.Fprintf(os.Stderr, "logitsim: -steps must be >= 1\n")
+		os.Exit(2)
+	}
 	sp := d.Space()
 	start := make([]int, sp.Players())
+	// One walker (and σ table, when the run is long enough) for every
+	// replica; -workers also bounds the table build.
+	w := d.NewWalker(*steps, *replicas, linalg.ParallelConfig{Workers: *workers})
 	var counts []int64
 	if *replicas == 1 {
 		// The historical single-trajectory stream: rng.New(seed) directly.
-		counts = d.Trajectory(start, *steps, rng.New(s.Seed))
+		counts = make([]int64, sp.Size())
+		w.Walk(counts, start, *steps, rng.New(s.Seed), 0, nil)
 	} else {
 		// Replica r runs on stream Split(r); integer counts merge exactly,
 		// so -workers changes wall-clock time only.
 		counts = sim.SumCounts(*replicas, s.Seed, *workers, sp.Size(),
 			func(_ int, r *rng.RNG, acc []int64) {
-				d.TrajectoryInto(acc, start, *steps, r)
+				w.Walk(acc, start, *steps, r, 0, nil)
 			})
 	}
 	emp := make([]float64, len(counts))

@@ -416,6 +416,9 @@ func (a *Analyzer) Simulate(start []int, t int, seed uint64) ([]float64, error) 
 	if t <= 0 {
 		return nil, errors.New("core: Simulate needs t > 0")
 	}
+	if err := a.dyn.Space().CheckProfile(start); err != nil {
+		return nil, fmt.Errorf("core: Simulate start %w", err)
+	}
 	counts := a.dyn.Trajectory(start, t, rng.New(seed))
 	out := make([]float64, len(counts))
 	for i, c := range counts {
@@ -427,9 +430,11 @@ func (a *Analyzer) Simulate(start []int, t int, seed uint64) ([]float64, error) 
 // SimulateReplicas runs `replicas` independent t-step trajectories from
 // start on a bounded worker pool and returns the pooled empirical occupancy
 // distribution. Replica r's RNG stream is Split(r) of the base seed, so the
-// sample is reproducible from (seed, replicas) alone; visit counts merge by
-// integer addition, so workers only change wall-clock time — the returned
-// distribution is bit-identical for every worker count, including 1.
+// sample is reproducible from (seed, replicas) alone; all replicas share
+// one logit.Walker, whose σ table is built on the same worker budget;
+// visit counts merge by integer addition, so workers only change
+// wall-clock time — the returned distribution is bit-identical for every
+// worker count, including 1.
 func (a *Analyzer) SimulateReplicas(start []int, t, replicas int, seed uint64, workers int) ([]float64, error) {
 	if t <= 0 {
 		return nil, errors.New("core: SimulateReplicas needs t > 0")
@@ -437,9 +442,13 @@ func (a *Analyzer) SimulateReplicas(start []int, t, replicas int, seed uint64, w
 	if replicas <= 0 {
 		return nil, errors.New("core: SimulateReplicas needs replicas > 0")
 	}
+	if err := a.dyn.Space().CheckProfile(start); err != nil {
+		return nil, fmt.Errorf("core: SimulateReplicas start %w", err)
+	}
 	size := a.dyn.Space().Size()
+	w := a.dyn.NewWalker(t, replicas, linalg.ParallelConfig{Workers: workers})
 	counts := sim.SumCounts(replicas, seed, workers, size, func(_ int, r *rng.RNG, acc []int64) {
-		a.dyn.TrajectoryInto(acc, start, t, r)
+		w.Walk(acc, start, t, r, 0, nil)
 	})
 	out := make([]float64, size)
 	visits := float64(replicas) * float64(t+1)

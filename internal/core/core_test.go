@@ -330,6 +330,79 @@ func TestSimulateValidation(t *testing.T) {
 	}
 }
 
+func TestSimulateRejectsBadStart(t *testing.T) {
+	g, err := game.NewIsing(graph.Ring(4), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAnalyzer(g, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, start := range [][]int{{0, 0, 0}, {0, 0, 5, 0}, {0, -1, 0, 0}} {
+		if _, err := a.Simulate(start, 10, 1); err == nil {
+			t.Errorf("Simulate(%v) accepted a malformed start", start)
+		}
+		// replicas > 1 walk on worker goroutines, where a panic would be
+		// unrecoverable: the check must come first.
+		for _, replicas := range []int{1, 4} {
+			if _, err := a.SimulateReplicas(start, 10, replicas, 1, 2); err == nil {
+				t.Errorf("SimulateReplicas(%v, replicas %d) accepted a malformed start", start, replicas)
+			}
+		}
+	}
+}
+
+func TestSimulateReplicasWorkerInvariant(t *testing.T) {
+	g, err := game.NewIsing(graph.Ring(6), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAnalyzer(g, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := make([]int, 6)
+	// 64 profiles × 6 players: 400 steps × 8 replicas is past the σ-table
+	// threshold, 40 × 8 below it; budgets never change the bits either way.
+	for _, steps := range []int{40, 400} {
+		want, err := a.SimulateReplicas(start, steps, 8, 3, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{2, 4} {
+			got, err := a.SimulateReplicas(start, steps, 8, 3, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d steps: workers %d changed the occupancy", steps, w)
+			}
+		}
+	}
+}
+
+// BenchmarkSimulateReplicas is the replica simulation layer alone: 1,000
+// replicas × 1,000 steps on the materialized Ising ring of 10 players at
+// β = 0.5, one σ table per op.
+func BenchmarkSimulateReplicas(b *testing.B) {
+	g, err := game.NewIsing(graph.Ring(10), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := NewAnalyzer(game.Materialize(g), 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	start := make([]int, 10)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.SimulateReplicas(start, 1_000, 1_000, uint64(i), 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestSpectrumTopIsOne(t *testing.T) {
 	a, _ := NewAnalyzer(coordGame(t), 1)
 	vals, err := a.Spectrum()

@@ -105,6 +105,25 @@ func (s *Space) Encode(x []int) int {
 	return idx
 }
 
+// Stride returns the index step of player i's digit: moving player i from
+// strategy a to b moves a profile's index by (b−a)·Stride(i).
+func (s *Space) Stride(i int) int { return s.strides[i] }
+
+// CheckProfile reports why x is not a profile of the space — a wrong
+// length or an out-of-range strategy — or returns nil. Encode panics on
+// exactly these inputs, so callers taking profiles from users check first.
+func (s *Space) CheckProfile(x []int) error {
+	if len(x) != len(s.sizes) {
+		return fmt.Errorf("profile has %d entries for %d players", len(x), len(s.sizes))
+	}
+	for i, v := range x {
+		if v < 0 || v >= s.sizes[i] {
+			return fmt.Errorf("profile[%d] = %d out of range [0, %d)", i, v, s.sizes[i])
+		}
+	}
+	return nil
+}
+
 // Decode writes the profile with the given index into dst and returns dst.
 // If dst is nil a new slice is allocated.
 func (s *Space) Decode(idx int, dst []int) []int {

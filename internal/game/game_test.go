@@ -38,6 +38,26 @@ func TestSpaceDigitAndWithDigit(t *testing.T) {
 	}
 }
 
+func TestSpaceStrideAndCheckProfile(t *testing.T) {
+	sp := NewSpace([]int{3, 4, 2})
+	x := []int{1, 2, 0}
+	for i := range x {
+		y := append([]int(nil), x...)
+		y[i]++
+		if got := sp.Encode(y) - sp.Encode(x); got != sp.Stride(i) {
+			t.Fatalf("player %d: index step %d, Stride %d", i, got, sp.Stride(i))
+		}
+	}
+	if err := sp.CheckProfile(x); err != nil {
+		t.Fatalf("valid profile rejected: %v", err)
+	}
+	for _, bad := range [][]int{{1, 2}, {1, 2, 0, 0}, {3, 0, 0}, {0, -1, 0}, {0, 0, 2}} {
+		if sp.CheckProfile(bad) == nil {
+			t.Errorf("CheckProfile(%v) = nil, want an error", bad)
+		}
+	}
+}
+
 func TestSpaceHamming(t *testing.T) {
 	sp := NewSpace([]int{2, 2, 2})
 	a := sp.Encode([]int{0, 0, 0})

@@ -14,6 +14,12 @@
 // All exponentials are computed in shifted form (subtracting the row maximum
 // utility, or the minimum potential) so that arbitrarily large β never
 // overflows.
+//
+// Trajectories run through a Walker. A walker built for walks totalling at
+// least |S|·n steps tabulates σ_i(·|x) for every profile and player once —
+// 8·|S|·Σᵢ|Sᵢ| bytes, never more σ evaluations than the walks would make —
+// and steps read their rows from the table; shorter walks evaluate σ on the
+// fly. Both draw the same RNG values and visit the same profiles.
 package logit
 
 import (
@@ -325,39 +331,11 @@ func (d *Dynamics) StationaryPar(par linalg.ParallelConfig) ([]float64, error) {
 
 // Step performs one logit update in place: picks a player uniformly and
 // resamples her strategy from σ_i(· | x). It returns the updated player.
-// Hot loops (trajectories, replica engines) use a Stepper instead, which
-// samples identically without the per-step allocations.
+// Trajectories use a Walker instead, which consumes the RNG stream exactly
+// as Step does without the per-step allocations.
 func (d *Dynamics) Step(x []int, r *rng.RNG) int {
 	i := r.Intn(d.space.Players())
 	probs := d.UpdateProbs(i, x, nil)
-	x[i] = r.Categorical(probs)
-	return i
-}
-
-// Stepper owns the per-player σ_i scratch of a simulation loop, so a
-// trajectory performs no allocations per step. It consumes the RNG stream
-// exactly as Step does — one player draw, one categorical draw — so a
-// Stepper-driven trajectory visits the same states as a Step-driven one.
-// A Stepper is not safe for concurrent use; give each replica worker its
-// own.
-type Stepper struct {
-	d     *Dynamics
-	probs [][]float64
-}
-
-// NewStepper returns a stepper for the dynamics.
-func (d *Dynamics) NewStepper() *Stepper {
-	probs := make([][]float64, d.space.Players())
-	for i := range probs {
-		probs[i] = make([]float64, d.g.Strategies(i))
-	}
-	return &Stepper{d: d, probs: probs}
-}
-
-// Step performs one logit update in place and returns the updated player.
-func (s *Stepper) Step(x []int, r *rng.RNG) int {
-	i := r.Intn(s.d.space.Players())
-	probs := s.d.updateProbsAt(i, x, s.probs[i])
 	x[i] = r.Categorical(probs)
 	return i
 }
@@ -367,31 +345,4 @@ func (d *Dynamics) StepIndexed(idx int, r *rng.RNG) int {
 	x := d.space.Decode(idx, nil)
 	d.Step(x, r)
 	return d.space.Encode(x)
-}
-
-// Trajectory runs t steps from the given starting profile and returns the
-// visit counts per profile index. The starting profile is counted once.
-func (d *Dynamics) Trajectory(start []int, t int, r *rng.RNG) []int64 {
-	counts := make([]int64, d.space.Size())
-	d.TrajectoryInto(counts, start, t, r)
-	return counts
-}
-
-// TrajectoryInto runs t steps from the given starting profile and adds the
-// visit counts into counts (len |S|), which is not zeroed first — replica
-// engines accumulate many trajectories into one worker-owned vector. The
-// starting profile is counted once.
-func (d *Dynamics) TrajectoryInto(counts []int64, start []int, t int, r *rng.RNG) {
-	if len(counts) != d.space.Size() {
-		panic("logit: TrajectoryInto counts size mismatch")
-	}
-	st := d.NewStepper()
-	x := append([]int(nil), start...)
-	idx := d.space.Encode(x)
-	counts[idx]++
-	for s := 0; s < t; s++ {
-		i := st.Step(x, r)
-		idx = d.space.WithDigit(idx, i, x[i])
-		counts[idx]++
-	}
 }

@@ -857,13 +857,8 @@ func (s *Service) prepareSimulation(req SimulateRequest) (*simPrep, error) {
 	if start == nil {
 		start = make([]int, space.Players())
 	}
-	if len(start) != space.Players() {
-		return nil, fmt.Errorf("start profile has %d entries for %d players", len(start), space.Players())
-	}
-	for i, v := range start {
-		if v < 0 || v >= space.Strategies(i) {
-			return nil, fmt.Errorf("start[%d] = %d out of range [0, %d)", i, v, space.Strategies(i))
-		}
+	if err := space.CheckProfile(start); err != nil {
+		return nil, fmt.Errorf("start %w", err)
 	}
 	doc := &serialize.SimulationDoc{
 		Version: serialize.Version,
@@ -924,16 +919,18 @@ func (s *Service) simulate(ctx context.Context, req SimulateRequest) (*serialize
 		extra, release := s.pool.TryExtraClass(classFrom(ctx), min(s.pool.Workers()-1, p.replicas-1))
 		defer release()
 		par := linalg.ParallelConfig{Workers: 1 + extra}
+		w := p.d.NewWalker(p.steps, p.replicas, par)
 		var counts []int64
 		if p.replicas == 1 {
 			// The historical single-trajectory stream (rng.New(seed)
 			// directly, matching logitsim and pre-replica requests), so
 			// legacy requests keep reproducing the same trajectory.
-			counts = p.d.Trajectory(p.start, p.steps, rng.New(p.seed))
+			counts = make([]int64, p.d.Space().Size())
+			w.Walk(counts, p.start, p.steps, rng.New(p.seed), 0, nil)
 		} else {
 			counts = sim.SumCounts(p.replicas, p.seed, par.Workers, p.d.Space().Size(),
 				func(_ int, r *rng.RNG, acc []int64) {
-					p.d.TrajectoryInto(acc, p.start, p.steps, r)
+					w.Walk(acc, p.start, p.steps, r, 0, nil)
 				})
 		}
 		s.finishSimulationDoc(p, counts, par)

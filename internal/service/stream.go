@@ -279,35 +279,23 @@ func (s *Service) handleSimulateStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // runSimulationStream executes the simulation under a worker token,
-// emitting a snapshot every stride steps. The stepping reproduces the
-// batch path exactly — replica r on stream Split(r) of the base seed
-// (rng.New(seed) itself for the single-replica legacy stream), the start
-// profile counted once, one Stepper draw per step — and the counts
-// accumulate into one vector, which equals sim.SumCounts' merged total
-// because integer adds commute. The prepared document therefore finishes
-// byte-identical to the non-streaming endpoint's.
+// emitting a snapshot every stride steps. It runs the batch path's own
+// stepping loop — logit.Walker.Walk, one walker sized for all replicas —
+// with a per-stride callback: replica r walks stream Split(r) of the base
+// seed (rng.New(seed) itself for the single-replica legacy stream), and the
+// counts accumulate into one vector, which equals sim.SumCounts' merged
+// total because integer adds commute. The prepared document therefore
+// finishes byte-identical to the non-streaming endpoint's.
 func (s *Service) runSimulationStream(ctx context.Context, p *simPrep, stride int, snaps chan<- streamEvent) simStreamResult {
 	var res simStreamResult
 	s.pool.RunClassCtx(ctx, classFrom(ctx), func() {
 		endSim := obs.StartSpan(ctx, obs.StageSimulate)
 		defer endSim()
 		s.simulations.Add(1)
-		space := p.d.Space()
-		counts := make([]int64, space.Size())
-		x := make([]int, space.Players())
+		par := linalg.ParallelConfig{Workers: 1}
+		w := p.d.NewWalker(p.steps, p.replicas, par)
+		counts := make([]int64, p.d.Space().Size())
 		base := rng.New(p.seed)
-		stepper := p.d.NewStepper()
-		emit := func(replica, step, idx int) {
-			snap := SimSnapshotDoc{
-				Replica: replica, Step: step,
-				Profile: append([]int(nil), x...), Index: idx,
-			}
-			select {
-			case snaps <- streamEvent{name: "snapshot", data: marshalEvent(snap)}:
-			default:
-				res.dropped++
-			}
-		}
 		for replica := 0; replica < p.replicas; replica++ {
 			rg := base.Split(uint64(replica))
 			if p.replicas == 1 {
@@ -315,23 +303,26 @@ func (s *Service) runSimulationStream(ctx context.Context, p *simPrep, stride in
 				// POST /v1/simulate's legacy path.
 				rg = rng.New(p.seed)
 			}
-			copy(x, p.start)
-			idx := space.Encode(x)
-			counts[idx]++
-			for t := 1; t <= p.steps; t++ {
-				i := stepper.Step(x, rg)
-				idx = space.WithDigit(idx, i, x[i])
-				counts[idx]++
-				if t%stride == 0 || t == p.steps {
-					if err := ctx.Err(); err != nil {
-						res.err = err
-						return
-					}
-					emit(replica, t, idx)
+			res.err = w.Walk(counts, p.start, p.steps, rg, stride, func(step int, x []int, idx int) error {
+				if err := ctx.Err(); err != nil {
+					return err
 				}
+				snap := SimSnapshotDoc{
+					Replica: replica, Step: step,
+					Profile: append([]int(nil), x...), Index: idx,
+				}
+				select {
+				case snaps <- streamEvent{name: "snapshot", data: marshalEvent(snap)}:
+				default:
+					res.dropped++
+				}
+				return nil
+			})
+			if res.err != nil {
+				return
 			}
 		}
-		s.finishSimulationDoc(p, counts, linalg.ParallelConfig{Workers: 1})
+		s.finishSimulationDoc(p, counts, par)
 	})
 	return res
 }
