@@ -29,7 +29,7 @@ func BenchmarkAblationMixingSpectral(b *testing.B) {
 	d, _ := logit.New(dw, 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := mixing.ExactMixingTime(d, 0.25, 1<<50); err != nil {
+		if _, err := mixing.ExactMixingTimePar(d, 0.25, 1<<50, linalg.ParallelConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -40,7 +40,7 @@ func BenchmarkAblationMixingEvolution(b *testing.B) {
 	d, _ := logit.New(dw, 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := mixing.EvolutionMixingTime(d, 0.25, 1<<20); err != nil {
+		if _, err := mixing.EvolutionMixingTimePar(d, 0.25, 1<<20, linalg.ParallelConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -53,7 +53,7 @@ func evolveSetup() (*markov.Sparse, *linalg.Dense, []float64) {
 	base, _ := game.NewCoordination2x2(2, 2, 0, 0)
 	g, _ := game.NewGraphical(graph.Ring(10), base)
 	d, _ := logit.New(g, 1)
-	s := d.TransitionSparse()
+	s := d.TransitionSparsePar(linalg.ParallelConfig{})
 	src := make([]float64, s.N)
 	for i := range src {
 		src[i] = 1 / float64(s.N)
@@ -90,7 +90,7 @@ func BenchmarkAblationStationaryGibbs(b *testing.B) {
 	d, _ := logit.New(g, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Gibbs(); err != nil {
+		if _, err := d.GibbsPar(linalg.Serial); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -100,7 +100,7 @@ func BenchmarkAblationStationaryDirect(b *testing.B) {
 	base, _ := game.NewCoordination2x2(2, 2, 0, 0)
 	g, _ := game.NewGraphical(graph.Ring(8), base)
 	d, _ := logit.New(g, 1)
-	p := d.TransitionDense()
+	p := d.TransitionDensePar(linalg.ParallelConfig{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -77,7 +77,7 @@ func BenchmarkPipelineTransitionMatrix(b *testing.B) {
 	d, _ := logit.New(g, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d.TransitionSparse()
+		d.TransitionSparsePar(linalg.ParallelConfig{})
 	}
 }
 
@@ -85,8 +85,8 @@ func BenchmarkPipelineSpectralDecompose(b *testing.B) {
 	base, _ := game.NewCoordination2x2(2, 2, 0, 0)
 	g, _ := game.NewGraphical(graph.Ring(8), base)
 	d, _ := logit.New(g, 1)
-	pi, _ := d.Gibbs()
-	p := d.TransitionDense()
+	pi, _ := d.GibbsPar(linalg.Serial)
+	p := d.TransitionDensePar(linalg.ParallelConfig{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := spectral.Decompose(p, pi); err != nil {
@@ -99,8 +99,8 @@ func BenchmarkPipelineMixingTimeQuery(b *testing.B) {
 	base, _ := game.NewCoordination2x2(2, 2, 0, 0)
 	g, _ := game.NewGraphical(graph.Ring(8), base)
 	d, _ := logit.New(g, 1.5)
-	pi, _ := d.Gibbs()
-	dec, err := spectral.Decompose(d.TransitionDense(), pi)
+	pi, _ := d.GibbsPar(linalg.Serial)
+	dec, err := spectral.Decompose(d.TransitionDensePar(linalg.ParallelConfig{}), pi)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func BenchmarkOperatorMatVec(b *testing.B) {
 		size := d.Space().Size()
 		if size <= 4096 {
 			b.Run(fmt.Sprintf("dense/N=%d", size), func(b *testing.B) {
-				benchMatVec(b, d.TransitionDense())
+				benchMatVec(b, d.TransitionDensePar(linalg.ParallelConfig{}))
 			})
 		}
 		b.Run(fmt.Sprintf("sparse/N=%d", size), func(b *testing.B) {

@@ -91,7 +91,7 @@ func main() {
 		emp[i] = float64(c) / visits
 	}
 
-	gibbs, gerr := d.Gibbs()
+	gibbs, gerr := d.GibbsPar(linalg.Serial)
 	if *jsonOut {
 		doc := serialize.SimulationDoc{
 			Game:        s.Game,

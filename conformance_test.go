@@ -5,6 +5,8 @@ import (
 	"os"
 	"testing"
 
+	"logitdyn/internal/game"
+	"logitdyn/internal/mixing"
 	"logitdyn/internal/serialize"
 )
 
@@ -13,6 +15,8 @@ import (
 // for it, and the Lanczos backends must agree with the dense spectrum. The
 // golden test pins the numbers; this one pins that the numbers still mean
 // what the paper says, so a re-golden that broke a theorem would fail here.
+// The relaxation-time lemmas (3.3 and 3.7) are checked on every backend's
+// report, since each measures t_rel on its own route.
 
 // lambdaTol is the relative λ* agreement required between the Lanczos
 // (sparse, matfree) reports and the dense eigendecomposition.
@@ -35,6 +39,26 @@ func loadGolden(t *testing.T, name, backend string) serialize.ReportDoc {
 func TestGoldenReportsConformToTheorems(t *testing.T) {
 	for _, c := range goldenCases {
 		t.Run(c.name, func(t *testing.T) {
+			g, err := c.s.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp := game.SpaceOf(g)
+			n, m := sp.Players(), sp.MaxStrategies()
+			for _, backend := range goldenBackends {
+				doc := loadGolden(t, c.name, backend)
+				if doc.Stats == nil {
+					t.Fatalf("%s report carries no potential stats", backend)
+				}
+				beta, trel := float64(doc.Beta), float64(doc.RelaxationTime)
+				if u := mixing.Lemma33RelaxUpper(n, m, beta, float64(doc.Stats.DeltaPhi)); !(trel <= u) {
+					t.Errorf("%s t_rel %v exceeds Lemma 3.3 upper %v", backend, trel, u)
+				}
+				if u := mixing.Lemma37RelaxUpper(n, m, beta, float64(doc.Stats.Zeta)); !(trel <= u) {
+					t.Errorf("%s t_rel %v exceeds Lemma 3.7 upper %v", backend, trel, u)
+				}
+			}
+
 			dense := loadGolden(t, c.name, "dense")
 			if !dense.MixingTimeExact {
 				t.Fatal("dense report lacks an exact mixing time")

@@ -13,6 +13,7 @@ import (
 
 	"logitdyn/internal/core"
 	"logitdyn/internal/game"
+	"logitdyn/internal/linalg"
 	"logitdyn/internal/markov"
 	"logitdyn/internal/mixing"
 )
@@ -25,14 +26,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st, err := mixing.AnalyzePotential(g)
+	st, err := mixing.AnalyzePotentialPar(g, linalg.Serial)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("singleton congestion game: %d drivers, 2 roads; ΔΦ=%.3g δΦ=%.3g ζ=%.3g\n\n",
 		n, st.DeltaPhi, st.SmallDeltaPhi, st.Zeta)
 
-	ne := game.PureNashEquilibria(g, 1e-12)
+	ne := game.PureNashEquilibriaPar(g, 1e-12, linalg.Serial)
 	fmt.Printf("pure Nash assignments: %d of %d profiles\n\n", len(ne), 1<<uint(n))
 
 	fmt.Printf("%-6s %-12s %-14s %-16s %-18s\n", "beta", "t_mix", "Thm3.4 bound", "pi(Nash set)", "E[hit argmin Phi]")
@@ -61,7 +62,7 @@ func main() {
 		for i, v := range st.Phi {
 			target[i] = v <= minPhi+1e-12
 		}
-		hit, err := markov.WorstHittingTime(a.Dynamics().TransitionDense(), target)
+		hit, err := markov.WorstHittingTime(a.Dynamics().TransitionDensePar(linalg.ParallelConfig{}), target)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -12,6 +12,7 @@ import (
 
 	"logitdyn/internal/game"
 	"logitdyn/internal/graph"
+	"logitdyn/internal/linalg"
 	"logitdyn/internal/logit"
 	"logitdyn/internal/rng"
 )
@@ -79,7 +80,7 @@ func main() {
 
 	// Stationary split between the two conventions at moderate noise.
 	d, _ := logit.New(g, 1)
-	pi, err := d.Gibbs()
+	pi, err := d.GibbsPar(linalg.Serial)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"logitdyn/internal/coupling"
 	"logitdyn/internal/game"
 	"logitdyn/internal/graph"
+	"logitdyn/internal/linalg"
 	"logitdyn/internal/logit"
 	"logitdyn/internal/markov"
 	"logitdyn/internal/rng"
@@ -41,7 +42,7 @@ func main() {
 		for i, c := range counts {
 			emp[i] = float64(c) / samples
 		}
-		gibbs, err := d.Gibbs()
+		gibbs, err := d.GibbsPar(linalg.Serial)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"logitdyn/internal/game"
+	"logitdyn/internal/linalg"
 	"logitdyn/internal/logit"
 	"logitdyn/internal/plot"
 	"logitdyn/internal/spectral"
@@ -30,11 +31,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pi, err := d.Gibbs()
+	pi, err := d.GibbsPar(linalg.Serial)
 	if err != nil {
 		log.Fatal(err)
 	}
-	dec, err := spectral.Decompose(d.TransitionDense(), pi)
+	dec, err := spectral.Decompose(d.TransitionDensePar(linalg.ParallelConfig{}), pi)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"logitdyn/internal/coupling"
+	"logitdyn/internal/linalg"
 	"logitdyn/internal/logit"
 	"logitdyn/internal/mixing"
 	"logitdyn/internal/rng"
@@ -105,7 +106,7 @@ func deriveE14(cfg Config, res *Results) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		evo, err := mixing.EvolutionMixingTime(d, eps, 1<<22)
+		evo, err := mixing.EvolutionMixingTimePar(d, eps, 1<<22, linalg.ParallelConfig{})
 		if err != nil {
 			return nil, err
 		}

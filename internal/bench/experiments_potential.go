@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"logitdyn/internal/game"
+	"logitdyn/internal/linalg"
 	"logitdyn/internal/mixing"
 	"logitdyn/internal/rng"
 	"logitdyn/internal/spec"
@@ -241,7 +242,7 @@ func planE5(cfg Config) ([]Segment, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := mixing.AnalyzePotential(dw)
+		st, err := mixing.AnalyzePotentialPar(dw, linalg.Serial)
 		if err != nil {
 			return nil, err
 		}

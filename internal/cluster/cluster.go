@@ -26,7 +26,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"reflect"
 
 	"logitdyn/internal/serialize"
 	"logitdyn/internal/store"
@@ -81,19 +80,4 @@ func GetCtx(ctx context.Context, rs ReportStore, key string) (serialize.ReportDo
 // not.
 type Scrubber interface {
 	Scrub() (store.ScrubResult, error)
-}
-
-// Normalize maps both nil and typed-nil ReportStore values to the untyped
-// nil interface, so "is a store configured?" is one comparison. A nil
-// *store.Store assigned into the interface (an unset flag threaded through
-// a concrete-typed variable) would otherwise compare non-nil and panic on
-// first use — the same trap sweep.TokenPool already guards against.
-func Normalize(rs ReportStore) ReportStore {
-	if rs == nil {
-		return nil
-	}
-	if v := reflect.ValueOf(rs); v.Kind() == reflect.Pointer && v.IsNil() {
-		return nil
-	}
-	return rs
 }

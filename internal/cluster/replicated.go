@@ -36,9 +36,8 @@ type peerCall struct {
 	ok   bool
 }
 
-// NewReplicated wraps local with peer fallback. local must be non-nil
-// (Normalize first); an empty peer list is allowed and degrades to a
-// pass-through.
+// NewReplicated wraps local with peer fallback. local must be non-nil; an
+// empty peer list is allowed and degrades to a pass-through.
 func NewReplicated(local ReportStore, peers []*PeerStore) *Replicated {
 	return &Replicated{
 		local:    local,

@@ -235,23 +235,6 @@ func TestRingRejectsBadConfigs(t *testing.T) {
 	}
 }
 
-func TestNormalizeTypedNil(t *testing.T) {
-	var st *store.Store
-	if Normalize(st) != nil {
-		t.Fatal("typed-nil *store.Store not normalized to nil")
-	}
-	if Normalize(nil) != nil {
-		t.Fatal("nil not normalized to nil")
-	}
-	real, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Normalize(real) == nil {
-		t.Fatal("live store normalized away")
-	}
-}
-
 func TestOpenFromFlags(t *testing.T) {
 	// No store, no peers: nil interface.
 	st, err := OpenFromFlags("", store.Options{}, "", 0)

@@ -100,6 +100,22 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Validate checks the options once defaults are filled in: ε must lie in
+// (0, 1) and MaxT must be nonnegative. AnalyzeCtx runs it first, and
+// serving layers run it before keying, so an out-of-range target is an
+// input error rather than a fallback route, a cached report or a search
+// that never ends.
+func (o Options) Validate() error {
+	o = o.withDefaults()
+	if !(o.Eps > 0 && o.Eps < 1) {
+		return fmt.Errorf("core: eps must be in (0, 1), got %v", o.Eps)
+	}
+	if o.MaxT < 0 {
+		return fmt.Errorf("core: max_t must be nonnegative, got %d", o.MaxT)
+	}
+	return nil
+}
+
 // Normalized returns the options with all defaults filled in, so that
 // equivalent zero-value spellings collapse to one representation. Cache
 // layers key analyses on normalized options.
@@ -179,6 +195,9 @@ func (a *Analyzer) Analyze(opts Options) (*Report, error) {
 // (pinned by the golden-invariance test), because no timer value ever
 // enters the report.
 func (a *Analyzer) AnalyzeCtx(ctx context.Context, opts Options) (*Report, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	sp := a.dyn.Space()
 	size := sp.Size()
@@ -387,7 +406,7 @@ func (a *Analyzer) MixingTime(eps float64, maxT int64) (int64, error) {
 	if maxT == 0 {
 		maxT = 1 << 62
 	}
-	res, err := mixing.ExactMixingTime(a.dyn, eps, maxT)
+	res, err := mixing.ExactMixingTimePar(a.dyn, eps, maxT, linalg.ParallelConfig{})
 	if err != nil {
 		return 0, err
 	}
@@ -396,11 +415,12 @@ func (a *Analyzer) MixingTime(eps float64, maxT int64) (int64, error) {
 
 // Spectrum returns the sorted eigenvalues (λ1 = 1 first) of the chain.
 func (a *Analyzer) Spectrum() ([]float64, error) {
-	pi, err := a.dyn.Stationary()
+	par := linalg.ParallelConfig{}
+	pi, err := a.dyn.StationaryPar(par)
 	if err != nil {
 		return nil, err
 	}
-	dec, err := spectral.Decompose(a.dyn.TransitionDense(), pi)
+	dec, err := spectral.Decompose(a.dyn.TransitionDensePar(par), pi)
 	if err != nil {
 		return nil, err
 	}
@@ -408,7 +428,7 @@ func (a *Analyzer) Spectrum() ([]float64, error) {
 }
 
 // Gibbs returns the stationary Gibbs measure for potential games.
-func (a *Analyzer) Gibbs() ([]float64, error) { return a.dyn.Gibbs() }
+func (a *Analyzer) Gibbs() ([]float64, error) { return a.dyn.GibbsPar(linalg.Serial) }
 
 // Simulate runs t logit steps from start and returns the empirical
 // occupancy distribution over profile indices.

@@ -6,9 +6,11 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"logitdyn/internal/game"
 	"logitdyn/internal/graph"
+	"logitdyn/internal/linalg"
 	"logitdyn/internal/markov"
 	"logitdyn/internal/mixing"
 	"logitdyn/internal/obs"
@@ -133,6 +135,41 @@ func TestAnalyzeNonPotentialGame(t *testing.T) {
 	}
 }
 
+// An ε outside (0, 1) or a negative MaxT is an input error on every route.
+// Before the check, the dense route treated spectral's ε error as a
+// non-reversible chain and fell back to brute-force evolution: ε ≥ 1
+// reported NaN spectra with t_mix 0, and ε < 0 evolved until the cap. The
+// deadline turns that hang into a failure.
+func TestAnalyzeRejectsOutOfRangeOptions(t *testing.T) {
+	dw, err := game.NewDoubleWell(6, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAnalyzer(dw, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []Options{{Eps: -0.5}, {Eps: 1}, {Eps: 1.5}, {Eps: math.NaN()}, {MaxT: -1}}
+	for _, backend := range []string{"dense", "sparse"} {
+		for _, o := range bad {
+			o.Backend = backend
+			done := make(chan error, 1)
+			go func() {
+				_, err := a.Analyze(o)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Errorf("%s eps=%v max_t=%d: analysis ran, want an input error", backend, o.Eps, o.MaxT)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s eps=%v max_t=%d: still running after 10s", backend, o.Eps, o.MaxT)
+			}
+		}
+	}
+}
+
 // bareDoubleWell is the 4-player double well materialized WITHOUT its
 // potential table.
 func bareDoubleWell(t *testing.T) *game.TableGame {
@@ -192,7 +229,7 @@ func TestDenseRouteComputesStationaryOnce(t *testing.T) {
 			t.Fatalf("dense exact route recomputed π: spans %+v", tr.Doc(true).Spans)
 		}
 	}
-	res, err := mixing.ExactMixingTime(a.dyn, mixing.DefaultEps, 1<<62)
+	res, err := mixing.ExactMixingTimePar(a.dyn, mixing.DefaultEps, 1<<62, linalg.ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"logitdyn/internal/game"
 	"logitdyn/internal/graph"
+	"logitdyn/internal/linalg"
 	"logitdyn/internal/logit"
 	"logitdyn/internal/markov"
 	"logitdyn/internal/mixing"
@@ -119,7 +120,7 @@ func TestEstimateMixingUpperBoundsExact(t *testing.T) {
 	// The coupling estimate must upper-bound the exact mixing time
 	// (Theorem 2.1), up to sampling noise — check with generous trials.
 	d := coordDyn(t, 0.8)
-	res, err := mixing.ExactMixingTime(d, 0.25, 1<<40)
+	res, err := mixing.ExactMixingTimePar(d, 0.25, 1<<40, linalg.ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestExactContractionMatchesTheorem36Computation(t *testing.T) {
 	// For β below the Theorem 3.6 threshold the exact contraction must be
 	// <= e^{−(1−c)/n} for every adjacent pair, hence α >= (1−c)/n.
 	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
-	st, err := mixing.AnalyzePotential(base)
+	st, err := mixing.AnalyzePotentialPar(base, linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestPathCouplingUpperBoundsRing(t *testing.T) {
 	n := 4
 	delta, beta := 1.0, 0.5
 	d := ringDyn(t, n, delta, beta)
-	res, err := mixing.ExactMixingTime(d, 0.25, 1<<40)
+	res, err := mixing.ExactMixingTimePar(d, 0.25, 1<<40, linalg.ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestVerifyMonotoneRejectsManyStrategies(t *testing.T) {
 func TestCFTPSamplesGibbs(t *testing.T) {
 	// CFTP samples must match the closed-form Gibbs measure.
 	d := ringDyn(t, 4, 1, 0.7)
-	pi, err := d.Gibbs()
+	pi, err := d.GibbsPar(linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,18 +71,11 @@ func IsPureNash(g Game, x []int, tol float64) bool {
 	return true
 }
 
-// PureNashEquilibria enumerates all pure Nash equilibria by profile index,
-// in increasing index order. It scans the whole profile space, serially —
-// like every compatibility wrapper here, it spawns no goroutines a caller
-// didn't budget for; pass a budget through PureNashEquilibriaPar instead.
-func PureNashEquilibria(g Game, tol float64) []int {
-	return PureNashEquilibriaPar(g, tol, linalg.Serial)
-}
-
-// PureNashEquilibriaPar is PureNashEquilibria under an explicit worker
-// budget: each chunk collects its equilibria locally, chunk lists sort by
-// starting index and concatenate, so the output is the same increasing
-// index list for every worker count.
+// PureNashEquilibriaPar enumerates all pure Nash equilibria by profile
+// index, in increasing index order, scanning the whole profile space. Each
+// chunk collects its equilibria locally, chunk lists sort by starting
+// index and concatenate, so the output is the same increasing index list
+// for every worker count.
 func PureNashEquilibriaPar(g Game, tol float64, par linalg.ParallelConfig) []int {
 	sp := SpaceOf(g)
 	type chunk struct {
@@ -144,15 +137,10 @@ func IsDominantStrategyPar(g Game, i, s int, tol float64, par linalg.ParallelCon
 	return !refuted.Load()
 }
 
-// DominantProfile returns a profile in which every player plays a dominant
-// strategy, or ok=false if some player has none. When several strategies
-// are dominant for a player the lowest-numbered one is chosen.
-func DominantProfile(g Game, tol float64) (profile []int, ok bool) {
-	return DominantProfilePar(g, tol, linalg.Serial)
-}
-
-// DominantProfilePar is DominantProfile under an explicit worker budget
-// (the per-player scans shard over opponent profiles).
+// DominantProfilePar returns a profile in which every player plays a
+// dominant strategy, or ok=false if some player has none. When several
+// strategies are dominant for a player the lowest-numbered one is chosen.
+// The per-player scans shard over opponent profiles.
 func DominantProfilePar(g Game, tol float64, par linalg.ParallelConfig) (profile []int, ok bool) {
 	n := g.Players()
 	profile = make([]int, n)

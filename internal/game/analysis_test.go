@@ -37,7 +37,7 @@ func TestBestResponsesTies(t *testing.T) {
 
 func TestPureNashCoordination(t *testing.T) {
 	g := mustCoordination(t, 3, 2, 0, 0)
-	ne := PureNashEquilibria(g, 1e-12)
+	ne := PureNashEquilibriaPar(g, 1e-12, linalg.Serial)
 	sp := SpaceOf(g)
 	want := map[int]bool{sp.Encode([]int{0, 0}): true, sp.Encode([]int{1, 1}): true}
 	if len(ne) != 2 {
@@ -65,7 +65,7 @@ func TestPureNashMatchingPennies(t *testing.T) {
 			g.SetUtilityIndexed(1, idx, 1)
 		}
 	}
-	if ne := PureNashEquilibria(g, 1e-12); len(ne) != 0 {
+	if ne := PureNashEquilibriaPar(g, 1e-12, linalg.Serial); len(ne) != 0 {
 		t.Fatalf("matching pennies NE = %v, want none", ne)
 	}
 	// And it must not be a potential game.
@@ -87,7 +87,7 @@ func TestDominantStrategies(t *testing.T) {
 			t.Errorf("strategy 1 must not be dominant for player %d", i)
 		}
 	}
-	prof, ok := DominantProfile(g, 1e-12)
+	prof, ok := DominantProfilePar(g, 1e-12, linalg.Serial)
 	if !ok {
 		t.Fatal("dominant profile must exist")
 	}
@@ -100,7 +100,7 @@ func TestDominantStrategies(t *testing.T) {
 
 func TestDominantProfileAbsentInCoordination(t *testing.T) {
 	g := mustCoordination(t, 3, 2, 0, 0)
-	if _, ok := DominantProfile(g, 1e-12); ok {
+	if _, ok := DominantProfilePar(g, 1e-12, linalg.Serial); ok {
 		t.Fatal("coordination game has no dominant profile")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"logitdyn/internal/graph"
+	"logitdyn/internal/linalg"
 	"logitdyn/internal/rng"
 )
 
@@ -285,7 +286,7 @@ func TestCongestionLoadsAndRosenthal(t *testing.T) {
 		t.Errorf("Phi(0,1) = %g, want 2", p)
 	}
 	// The split profiles are the potential minimizers and the pure Nash set.
-	ne := PureNashEquilibria(g, 1e-12)
+	ne := PureNashEquilibriaPar(g, 1e-12, linalg.Serial)
 	if len(ne) != 2 {
 		t.Fatalf("NE = %v, want the two split profiles", ne)
 	}

@@ -28,18 +28,17 @@ func NewTableGame(sizes []int) *TableGame {
 	return &TableGame{space: sp, utils: utils}
 }
 
-// Materialize copies an arbitrary Game into a TableGame, evaluating every
-// utility once. If g implements Potential the potential is tabulated too.
-// The profile space must be small enough to enumerate.
+// Materialize is MaterializePar on linalg.Serial.
 func Materialize(g Game) *TableGame {
 	return MaterializePar(g, linalg.Serial)
 }
 
-// MaterializePar tabulates the game on an explicit worker budget. Callers
-// that sit under a global worker semaphore (the service) pass the tokens
-// they actually hold; Materialize itself stays serial so library callers
-// never spawn unaccounted goroutines. The budget cannot change any table
-// entry — tabulation is element-wise per profile index.
+// MaterializePar copies an arbitrary Game into a TableGame, evaluating
+// every utility once. If g implements Potential the potential is tabulated
+// too. The profile space must be small enough to enumerate. Callers that
+// sit under a global worker semaphore (the service) pass the tokens they
+// actually hold. The budget cannot change any table entry — tabulation is
+// element-wise per profile index.
 func MaterializePar(g Game, par linalg.ParallelConfig) *TableGame {
 	t := NewTableGame(sizesOf(g))
 	par.For(t.space.Size(), func(lo, hi int) {

@@ -27,6 +27,15 @@ import (
 // spawn goroutines (the pre-config parallelFor used the same cutoff).
 const DefaultMinRows = 64
 
+// ExtraWorkers is how many worker tokens beyond its own a task with n
+// shardable units (profiles, replicas) can use under a budget of workers:
+// one per DefaultMinRows units past the first, never more than workers−1
+// and never negative. Token pools size their non-blocking borrows with it,
+// so a task too small to feed extra workers borrows nothing.
+func ExtraWorkers(n, workers int) int {
+	return max(0, min(workers-1, n/DefaultMinRows-1))
+}
+
 // ReduceBlock is the fixed block length of deterministic reductions
 // (BlockSum, Dot). Serial and parallel runs accumulate the same per-block
 // partials and combine them in the same order; vectors at or below this

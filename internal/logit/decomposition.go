@@ -74,7 +74,7 @@ func (d *Dynamics) SinglePlayerDecomposition() *linalg.Dense {
 // product: its symmetrization D^{1/2} P^{(i,z)} D^{−1/2} has no eigenvalue
 // below −tol. This is the exact computation inside the Theorem 3.1 proof.
 func (d *Dynamics) CheckSinglePlayerPSD(tol float64) error {
-	pi, err := d.Gibbs()
+	pi, err := d.GibbsPar(linalg.Serial)
 	if err != nil {
 		return err
 	}

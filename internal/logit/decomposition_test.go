@@ -5,6 +5,7 @@ import (
 
 	"logitdyn/internal/game"
 	"logitdyn/internal/graph"
+	"logitdyn/internal/linalg"
 )
 
 // The Theorem 3.1 proof, executed: P must equal the average of the
@@ -18,7 +19,7 @@ func TestSinglePlayerDecompositionReconstructsP(t *testing.T) {
 	for name, g := range games {
 		for _, beta := range []float64{0, 0.7, 2} {
 			d := mustDyn(t, g, beta)
-			p := d.TransitionDense()
+			p := d.TransitionDensePar(linalg.ParallelConfig{})
 			sum := d.SinglePlayerDecomposition()
 			if diff := p.MaxAbsDiff(sum); diff > 1e-12 {
 				t.Errorf("%s β=%g: P differs from the single-player average by %g", name, beta, diff)

@@ -147,17 +147,12 @@ func (g *RowGen) AppendRow(idx int, row []markov.Entry) []markov.Entry {
 	return append(row, markov.Entry{To: idx, P: self / float64(n)})
 }
 
-// TransitionSparse builds the Eq. (3) transition matrix in sparse row form:
-// each state has one entry per (player, strategy) pair, with the diagonal
-// accumulating the self-loop mass Σ_i σ_i(x_i | x)/n. This is the primary
-// representation; the dense and CSR forms are derived from it.
-func (d *Dynamics) TransitionSparse() *markov.Sparse {
-	return d.TransitionSparsePar(linalg.ParallelConfig{})
-}
-
-// TransitionSparsePar is TransitionSparse under an explicit worker budget,
-// so serving layers can bound the build's fan-out by their token pool. The
-// budget never changes the rows, only how many goroutines fill them.
+// TransitionSparsePar builds the Eq. (3) transition matrix in sparse row
+// form: each state has one entry per (player, strategy) pair, with the
+// diagonal accumulating the self-loop mass Σ_i σ_i(x_i | x)/n. This is the
+// primary representation; the dense and CSR forms are derived from it.
+// The worker budget never changes the rows, only how many goroutines fill
+// them.
 func (d *Dynamics) TransitionSparsePar(par linalg.ParallelConfig) *markov.Sparse {
 	size := d.space.Size()
 	s := markov.NewSparse(size)
@@ -221,15 +216,9 @@ func (d *Dynamics) TransitionCSRPar(par linalg.ParallelConfig) *linalg.CSR {
 	return linalg.NewCSR(size, size, rowPtr, col, val).WithParallel(par)
 }
 
-// TransitionDense materializes the Eq. (3) transition matrix densely — a
-// view over the sparse-first construction, for the exact eigendecomposition
-// path.
-func (d *Dynamics) TransitionDense() *linalg.Dense {
-	return d.TransitionSparse().Dense()
-}
-
-// TransitionDensePar is TransitionDense under an explicit worker budget
-// (threaded through the sparse-first construction).
+// TransitionDensePar materializes the Eq. (3) transition matrix densely —
+// a view over the sparse-first construction, for the exact
+// eigendecomposition path.
 func (d *Dynamics) TransitionDensePar(par linalg.ParallelConfig) *linalg.Dense {
 	return d.TransitionSparsePar(par).Dense()
 }
@@ -244,7 +233,7 @@ func (d *Dynamics) TransitionDensePar(par linalg.ParallelConfig) *linalg.Dense {
 func (d *Dynamics) OperatorPar(b Backend, par linalg.ParallelConfig) (linalg.Operator, error) {
 	switch b {
 	case BackendDense:
-		return d.TransitionDense().WithParallel(par), nil
+		return d.TransitionDensePar(par).WithParallel(par), nil
 	case BackendSparse:
 		return d.TransitionCSRPar(par), nil
 	case BackendMatFree:
@@ -253,18 +242,13 @@ func (d *Dynamics) OperatorPar(b Backend, par linalg.ParallelConfig) (linalg.Ope
 	return nil, fmt.Errorf("logit: no concrete operator for backend %q", b)
 }
 
-// Gibbs returns the Gibbs measure π(x) ∝ exp(−β·Φ(x)) (Eq. 4) when the game
-// exposes an exact potential, computed with the minimum-potential shift so
-// large β cannot overflow. It errors for games without a potential. It runs
-// serially; callers holding a worker budget use GibbsPar.
-func (d *Dynamics) Gibbs() ([]float64, error) {
-	return d.GibbsPar(linalg.Serial)
-}
-
-// GibbsPar is Gibbs under an explicit worker budget. Potential tabulation
-// and exponentiation are element-wise parallel; the minimum is an exact
-// (order-independent) reduction and the normalizing sum accumulates over
-// fixed blocks, so the measure is bit-identical for every worker count.
+// GibbsPar returns the Gibbs measure π(x) ∝ exp(−β·Φ(x)) (Eq. 4) when the
+// game exposes an exact potential, computed with the minimum-potential
+// shift so large β cannot overflow. It errors for games without a
+// potential. Potential tabulation and exponentiation are element-wise
+// parallel; the minimum is an exact (order-independent) reduction and the
+// normalizing sum accumulates over fixed blocks, so the measure is
+// bit-identical for every worker count.
 // The potential table checks out of par.Arena (nil = fresh); the returned
 // measure itself is always freshly allocated: it escapes into reports and
 // caches, so it must survive the arena's Reset.
@@ -309,19 +293,12 @@ func (d *Dynamics) GibbsPar(par linalg.ParallelConfig) ([]float64, error) {
 	return pi, nil
 }
 
-// Stationary returns the stationary distribution: the Gibbs measure for
+// StationaryPar returns the stationary distribution: the Gibbs measure for
 // potential games, or the direct null-space solve of the transition matrix
-// otherwise (which requires a materializable profile space).
-func (d *Dynamics) Stationary() ([]float64, error) {
-	if pi, err := d.Gibbs(); err == nil {
-		return pi, nil
-	}
-	return markov.StationaryDirect(d.TransitionDense())
-}
-
-// StationaryPar is Stationary under an explicit worker budget for the
-// Gibbs sweep and the dense materialization of the fallback solve. As
-// everywhere in the parallel layer, the budget never changes the result.
+// otherwise (which requires a materializable profile space). The worker
+// budget drives the Gibbs sweep and the dense materialization of the
+// fallback solve; as everywhere in the parallel layer, it never changes
+// the result.
 func (d *Dynamics) StationaryPar(par linalg.ParallelConfig) ([]float64, error) {
 	if pi, err := d.GibbsPar(par); err == nil {
 		return pi, nil
@@ -338,11 +315,4 @@ func (d *Dynamics) Step(x []int, r *rng.RNG) int {
 	probs := d.UpdateProbs(i, x, nil)
 	x[i] = r.Categorical(probs)
 	return i
-}
-
-// StepIndexed performs one logit update on a profile index.
-func (d *Dynamics) StepIndexed(idx int, r *rng.RNG) int {
-	x := d.space.Decode(idx, nil)
-	d.Step(x, r)
-	return d.space.Encode(x)
 }

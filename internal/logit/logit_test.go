@@ -6,6 +6,7 @@ import (
 
 	"logitdyn/internal/game"
 	"logitdyn/internal/graph"
+	"logitdyn/internal/linalg"
 	"logitdyn/internal/markov"
 	"logitdyn/internal/rng"
 )
@@ -99,7 +100,7 @@ func TestTransitionIsStochastic(t *testing.T) {
 	for name, g := range games {
 		for _, beta := range []float64{0, 0.5, 2, 50} {
 			d := mustDyn(t, g, beta)
-			s := d.TransitionSparse()
+			s := d.TransitionSparsePar(linalg.ParallelConfig{})
 			if err := s.CheckStochastic(1e-12); err != nil {
 				t.Errorf("%s β=%g: %v", name, beta, err)
 			}
@@ -141,11 +142,11 @@ func TestGibbsIsStationary(t *testing.T) {
 	} {
 		for _, beta := range []float64{0, 0.3, 1, 4} {
 			d := mustDyn(t, g, beta)
-			pi, err := d.Gibbs()
+			pi, err := d.GibbsPar(linalg.Serial)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			p := d.TransitionDense()
+			p := d.TransitionDensePar(linalg.ParallelConfig{})
 			next := make([]float64, len(pi))
 			p.VecMul(next, pi)
 			if tv := markov.TVDistance(pi, next); tv > 1e-12 {
@@ -160,11 +161,11 @@ func TestGibbsIsStationary(t *testing.T) {
 
 func TestGibbsMatchesDirectSolve(t *testing.T) {
 	d := mustDyn(t, coordination(t), 1.3)
-	gibbs, err := d.Gibbs()
+	gibbs, err := d.GibbsPar(linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := markov.StationaryDirect(d.TransitionDense())
+	direct, err := markov.StationaryDirect(d.TransitionDensePar(linalg.ParallelConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,15 +188,15 @@ func TestGibbsRequiresPotential(t *testing.T) {
 		g.SetUtilityIndexed(1, idx, -v)
 	}
 	d := mustDyn(t, g, 1)
-	if _, err := d.Gibbs(); err == nil {
+	if _, err := d.GibbsPar(linalg.Serial); err == nil {
 		t.Fatal("Gibbs on a non-potential game must error")
 	}
 	// Stationary must fall back to the direct solve and still satisfy πP=π.
-	pi, err := d.Stationary()
+	pi, err := d.StationaryPar(linalg.ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := d.TransitionDense()
+	p := d.TransitionDensePar(linalg.ParallelConfig{})
 	next := make([]float64, len(pi))
 	p.VecMul(next, pi)
 	if tv := markov.TVDistance(pi, next); tv > 1e-10 {
@@ -207,7 +208,7 @@ func TestGibbsLargeBetaConcentratesOnMinima(t *testing.T) {
 	// δ0 = 3 > δ1 = 2: (0,0) has strictly lower potential, so as β grows the
 	// Gibbs measure concentrates there (risk dominance, Blume 1993).
 	d := mustDyn(t, coordination(t), 20)
-	pi, err := d.Gibbs()
+	pi, err := d.GibbsPar(linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestGibbsLargeBetaConcentratesOnMinima(t *testing.T) {
 
 func TestGibbsBetaZeroUniform(t *testing.T) {
 	d := mustDyn(t, coordination(t), 0)
-	pi, err := d.Gibbs()
+	pi, err := d.GibbsPar(linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,12 +237,15 @@ func TestStepMatchesTransitionEmpirically(t *testing.T) {
 	d := mustDyn(t, coordination(t), 1)
 	sp := d.Space()
 	start := sp.Encode([]int{0, 1})
-	p := d.TransitionDense()
+	p := d.TransitionDensePar(linalg.ParallelConfig{})
 	const trials = 200000
 	r := rng.New(99)
 	counts := make([]float64, sp.Size())
+	x := make([]int, sp.Players())
 	for k := 0; k < trials; k++ {
-		counts[d.StepIndexed(start, r)]++
+		sp.Decode(start, x)
+		d.Step(x, r)
+		counts[sp.Encode(x)]++
 	}
 	for idx := range counts {
 		counts[idx] /= trials
@@ -258,7 +262,7 @@ func TestTrajectoryOccupancyApproachesGibbs(t *testing.T) {
 	// Ergodic average over a long trajectory must approach the Gibbs
 	// measure (law of large numbers for Markov chains).
 	d := mustDyn(t, coordination(t), 0.8)
-	pi, err := d.Gibbs()
+	pi, err := d.GibbsPar(linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,27 +278,13 @@ func TestTrajectoryOccupancyApproachesGibbs(t *testing.T) {
 	}
 }
 
-func TestStepIndexedConsistentWithStep(t *testing.T) {
-	d := mustDyn(t, coordination(t), 1)
-	r1, r2 := rng.New(5), rng.New(5)
-	x := []int{0, 1}
-	idx := d.Space().Encode(x)
-	for k := 0; k < 100; k++ {
-		d.Step(x, r1)
-		idx = d.StepIndexed(idx, r2)
-		if d.Space().Encode(x) != idx {
-			t.Fatalf("Step and StepIndexed diverged at step %d", k)
-		}
-	}
-}
-
 func BenchmarkTransitionSparseRing8(b *testing.B) {
 	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
 	g, _ := game.NewGraphical(graph.Ring(8), base)
 	d, _ := New(g, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d.TransitionSparse()
+		d.TransitionSparsePar(linalg.ParallelConfig{})
 	}
 }
 

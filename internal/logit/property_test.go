@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"logitdyn/internal/game"
+	"logitdyn/internal/linalg"
 	"logitdyn/internal/markov"
 	"logitdyn/internal/rng"
 )
@@ -23,11 +24,11 @@ func TestPropertyGibbsStationaryOnRandomPotentialGames(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pi, err := d.Gibbs()
+		pi, err := d.GibbsPar(linalg.Serial)
 		if err != nil {
 			return false
 		}
-		p := d.TransitionDense()
+		p := d.TransitionDensePar(linalg.ParallelConfig{})
 		next := make([]float64, len(pi))
 		p.VecMul(next, pi)
 		if markov.TVDistance(pi, next) > 1e-11 {
@@ -95,11 +96,11 @@ func TestPropertyGibbsShiftInvariant(t *testing.T) {
 		}
 		d1, _ := New(gw, 1.5)
 		d2, _ := New(shifted, 1.5)
-		pi1, err := d1.Gibbs()
+		pi1, err := d1.GibbsPar(linalg.Serial)
 		if err != nil {
 			return false
 		}
-		pi2, err := d2.Gibbs()
+		pi2, err := d2.GibbsPar(linalg.Serial)
 		if err != nil {
 			return false
 		}

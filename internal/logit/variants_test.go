@@ -6,6 +6,7 @@ import (
 
 	"logitdyn/internal/game"
 	"logitdyn/internal/graph"
+	"logitdyn/internal/linalg"
 	"logitdyn/internal/markov"
 	"logitdyn/internal/rng"
 )
@@ -183,7 +184,7 @@ func TestHittingTimeOfDominantProfile(t *testing.T) {
 		sp := d.Space()
 		target := make([]bool, sp.Size())
 		target[sp.Encode([]int{0, 0, 0})] = true
-		worst, err := markov.WorstHittingTime(d.TransitionDense(), target)
+		worst, err := markov.WorstHittingTime(d.TransitionDensePar(linalg.ParallelConfig{}), target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +241,7 @@ func TestParallelStationaryDiffersFromGibbs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gibbs, err := d.Gibbs()
+	gibbs, err := d.GibbsPar(linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,17 +129,6 @@ func (s *Sparse) Evolve(dst, src []float64) {
 	}
 }
 
-// EvolveT computes src·P^t.
-func (s *Sparse) EvolveT(src []float64, t int) []float64 {
-	cur := linalg.Clone(src)
-	next := make([]float64, s.N)
-	for k := 0; k < t; k++ {
-		s.Evolve(next, cur)
-		cur, next = next, cur
-	}
-	return cur
-}
-
 // StationaryPower runs power iteration on the sparse chain.
 func (s *Sparse) StationaryPower(tol float64, maxIter int) ([]float64, error) {
 	mu, err := StationaryPowerOp(s, tol, maxIter)

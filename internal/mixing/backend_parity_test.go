@@ -59,9 +59,9 @@ func maxAbsDiff(a, b []float64) float64 {
 // backends returns the three concrete operators for the dynamics.
 func parityOperators(d *logit.Dynamics) map[string]linalg.Operator {
 	return map[string]linalg.Operator{
-		"dense":   d.TransitionDense(),
+		"dense":   d.TransitionDensePar(linalg.ParallelConfig{}),
 		"sparse":  d.TransitionCSRPar(linalg.ParallelConfig{}),
-		"rowlist": d.TransitionSparse(),
+		"rowlist": d.TransitionSparsePar(linalg.ParallelConfig{}),
 		"matfree": d.MatFree(),
 	}
 }
@@ -106,7 +106,7 @@ func TestBackendStationaryParity(t *testing.T) {
 	for _, fam := range parityFamilies {
 		t.Run(fam.name, func(t *testing.T) {
 			d := parityDyn(t, fam.s)
-			direct, err := markov.StationaryDirect(d.TransitionDense())
+			direct, err := markov.StationaryDirect(d.TransitionDensePar(linalg.ParallelConfig{}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,11 +127,11 @@ func TestBackendLambdaStarParity(t *testing.T) {
 	for _, fam := range parityFamilies {
 		t.Run(fam.name, func(t *testing.T) {
 			d := parityDyn(t, fam.s)
-			pi, err := d.Stationary()
+			pi, err := d.StationaryPar(linalg.ParallelConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			dec, err := spectral.Decompose(d.TransitionDense(), pi)
+			dec, err := spectral.Decompose(d.TransitionDensePar(linalg.ParallelConfig{}), pi)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +165,7 @@ func TestRelaxationSandwichBracketsExactMixing(t *testing.T) {
 	for _, fam := range parityFamilies {
 		t.Run(fam.name, func(t *testing.T) {
 			d := parityDyn(t, fam.s)
-			exact, err := ExactMixingTime(d, DefaultEps, 1<<40)
+			exact, err := ExactMixingTimePar(d, DefaultEps, 1<<40, linalg.ParallelConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}

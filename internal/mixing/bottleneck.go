@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"logitdyn/internal/game"
+	"logitdyn/internal/linalg"
 	"logitdyn/internal/logit"
 	"logitdyn/internal/markov"
 )
@@ -62,7 +63,8 @@ func ComplementOfState(size, state int) ([]bool, error) {
 // it computes π(R) and B(R) exactly on the chain and returns
 // (1−2ε)/(2·B(R)), or an error if π(R) > 1/2 (the theorem's hypothesis).
 func BottleneckBound(d *logit.Dynamics, mask []bool, eps float64) (lower float64, bR float64, err error) {
-	pi, err := d.Stationary()
+	par := linalg.ParallelConfig{}
+	pi, err := d.StationaryPar(par)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -75,7 +77,7 @@ func BottleneckBound(d *logit.Dynamics, mask []bool, eps float64) (lower float64
 	if piR > 0.5+1e-12 {
 		return 0, 0, errors.New("mixing: bottleneck set has π(R) > 1/2")
 	}
-	p := d.TransitionDense()
+	p := d.TransitionDensePar(par)
 	bR, err = markov.BottleneckRatio(p, pi, mask)
 	if err != nil {
 		return 0, 0, err
@@ -91,11 +93,12 @@ func BottleneckBound(d *logit.Dynamics, mask []bool, eps float64) (lower float64
 func BestWeightCut(d *logit.Dynamics, eps float64) (lower float64, threshold int, err error) {
 	sp := d.Space()
 	n := sp.Players()
-	pi, err := d.Stationary()
+	par := linalg.ParallelConfig{}
+	pi, err := d.StationaryPar(par)
 	if err != nil {
 		return 0, 0, err
 	}
-	p := d.TransitionDense()
+	p := d.TransitionDensePar(par)
 	best := 0.0
 	bestThr := -1
 	for thr := 1; thr <= n; thr++ {

@@ -43,15 +43,10 @@ type Result struct {
 	Stationary []float64
 }
 
-// ExactMixingTime decomposes the logit chain of d and returns the exact
+// ExactMixingTimePar decomposes the logit chain of d and returns the exact
 // t_mix(eps), capped at maxT. The chain must be reversible (potential game,
-// or any game whose stationary distribution makes it reversible).
-func ExactMixingTime(d *logit.Dynamics, eps float64, maxT int64) (*Result, error) {
-	return ExactMixingTimePar(d, eps, maxT, linalg.ParallelConfig{})
-}
-
-// ExactMixingTimePar is ExactMixingTime under an explicit worker budget:
-// the transition-matrix build and the d(t) evaluation sweep fan out at
+// or any game whose stationary distribution makes it reversible). The
+// transition-matrix build and the d(t) evaluation sweep fan out at
 // most par.Workers goroutines, so a serving layer's token pool governs the
 // dense exact route the same way it governs the Lanczos route. The budget
 // never changes any reported number — the matrix rows are filled at fixed
@@ -168,17 +163,13 @@ func RelaxationSandwichPar(d *logit.Dynamics, backend logit.Backend, eps float64
 	}, nil
 }
 
-// EvolutionMixingTime measures t_mix(eps) by brute-force sparse evolution of
-// a point mass from every starting state, advancing all states in lockstep
-// until the worst TV distance drops to eps. It is O(maxT·|S|·nnz) and exists
-// as an independent cross-check of the spectral route on small chains.
-func EvolutionMixingTime(d *logit.Dynamics, eps float64, maxT int) (int64, error) {
-	return EvolutionMixingTimePar(d, eps, maxT, linalg.ParallelConfig{})
-}
-
-// EvolutionMixingTimePar is EvolutionMixingTime under an explicit worker
-// budget for the per-start evolution sweep (results are worker-invariant:
-// each start's distribution evolves in its own fixed slot).
+// EvolutionMixingTimePar measures t_mix(eps) by brute-force sparse
+// evolution of a point mass from every starting state, advancing all
+// states in lockstep until the worst TV distance drops to eps. It is
+// O(maxT·|S|·nnz) and exists as an independent cross-check of the spectral
+// route on small chains. The worker budget drives the per-start evolution
+// sweep (results are worker-invariant: each start's distribution evolves
+// in its own fixed slot).
 func EvolutionMixingTimePar(d *logit.Dynamics, eps float64, maxT int, par linalg.ParallelConfig) (int64, error) {
 	pi, err := d.StationaryPar(par)
 	if err != nil {
@@ -269,19 +260,11 @@ type BoundsReport struct {
 	Thm42Upper         float64
 }
 
-// Report computes the bounds report for a potential game at inverse noise β.
-func Report(p game.Potential, beta, eps float64) (*BoundsReport, error) {
-	st, err := AnalyzePotential(p)
-	if err != nil {
-		return nil, err
-	}
-	return ReportFromStats(p, beta, eps, st)
-}
-
-// ReportFromStats is Report for a caller that already computed the
-// potential statistics: it evaluates the closed-form bounds without
-// re-tabulating Φ. The serial and parallel analyses produce identical
-// stats, so a report built from either is the same report.
+// ReportFromStats computes the bounds report for a potential game at
+// inverse noise β from its potential statistics (AnalyzePotentialPar): it
+// evaluates the closed-form bounds without re-tabulating Φ. Every worker
+// budget produces identical stats, so a report built from any of them is
+// the same report.
 func ReportFromStats(p game.Potential, beta, eps float64, st *PotentialStats) (*BoundsReport, error) {
 	sp := game.SpaceOf(p)
 	n, m := sp.Players(), sp.MaxStrategies()
@@ -296,7 +279,7 @@ func ReportFromStats(p game.Potential, beta, eps float64, st *PotentialStats) (*
 		r.Thm36Applies = true
 		r.Thm36Upper = Theorem36Upper(n, smallBetaC, eps)
 	}
-	if _, ok := game.DominantProfile(p, 1e-12); ok {
+	if _, ok := game.DominantProfilePar(p, 1e-12, linalg.Serial); ok {
 		r.HasDominantProfile = true
 		r.Thm42Upper = Theorem42Upper(n, m)
 	}

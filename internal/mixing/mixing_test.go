@@ -6,6 +6,7 @@ import (
 
 	"logitdyn/internal/game"
 	"logitdyn/internal/graph"
+	"logitdyn/internal/linalg"
 	"logitdyn/internal/logit"
 )
 
@@ -26,11 +27,11 @@ func TestExactMixingTimeAgreesWithEvolution(t *testing.T) {
 	// The two independent measurement routes must agree exactly.
 	for _, beta := range []float64{0, 0.5, 1.2} {
 		d := coordDyn(t, beta)
-		spec, err := ExactMixingTime(d, DefaultEps, 1<<40)
+		spec, err := ExactMixingTimePar(d, DefaultEps, 1<<40, linalg.ParallelConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		evo, err := EvolutionMixingTime(d, DefaultEps, 100000)
+		evo, err := EvolutionMixingTimePar(d, DefaultEps, 100000, linalg.ParallelConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,11 +48,11 @@ func TestExactMixingTimeRingGame(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, _ := logit.New(g, 0.5)
-	spec, err := ExactMixingTime(d, DefaultEps, 1<<40)
+	spec, err := ExactMixingTimePar(d, DefaultEps, 1<<40, linalg.ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	evo, err := EvolutionMixingTime(d, DefaultEps, 100000)
+	evo, err := EvolutionMixingTimePar(d, DefaultEps, 100000, linalg.ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestMixingTimeIncreasesWithBeta(t *testing.T) {
 	prev := int64(0)
 	for _, beta := range []float64{0, 1, 2, 3} {
 		d := coordDyn(t, beta)
-		res, err := ExactMixingTime(d, DefaultEps, 1<<50)
+		res, err := ExactMixingTimePar(d, DefaultEps, 1<<50, linalg.ParallelConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,13 +80,13 @@ func TestMixingTimeIncreasesWithBeta(t *testing.T) {
 func TestMeasuredMixingUnderTheorem34(t *testing.T) {
 	// The measured t_mix must respect the all-β upper bound.
 	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
-	st, err := AnalyzePotential(base)
+	st, err := AnalyzePotentialPar(base, linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, beta := range []float64{0, 0.5, 1, 2} {
 		d := coordDyn(t, beta)
-		res, err := ExactMixingTime(d, DefaultEps, 1<<50)
+		res, err := ExactMixingTimePar(d, DefaultEps, 1<<50, linalg.ParallelConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +130,11 @@ func TestGrowthExponentErrors(t *testing.T) {
 
 func TestReportCoordination(t *testing.T) {
 	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
-	r, err := Report(base, 1, DefaultEps)
+	st, err := AnalyzePotentialPar(base, linalg.Serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := ReportFromStats(base, 1, DefaultEps, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +151,7 @@ func TestReportCoordination(t *testing.T) {
 	if r.Thm36Applies {
 		t.Error("Thm 3.6 must not apply at β=1")
 	}
-	small, err := Report(base, 0.05, DefaultEps)
+	small, err := ReportFromStats(base, 0.05, DefaultEps, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +162,11 @@ func TestReportCoordination(t *testing.T) {
 
 func TestReportDominantGame(t *testing.T) {
 	g, _ := game.NewDominantDiagonal(3, 2)
-	r, err := Report(g, 5, DefaultEps)
+	st, err := AnalyzePotentialPar(g, linalg.Serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := ReportFromStats(g, 5, DefaultEps, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +223,7 @@ func TestBoundFunctionsSanity(t *testing.T) {
 
 func TestEvolutionMixingTimeTimeout(t *testing.T) {
 	d := coordDyn(t, 3)
-	if _, err := EvolutionMixingTime(d, DefaultEps, 2); err == nil {
+	if _, err := EvolutionMixingTimePar(d, DefaultEps, 2, linalg.ParallelConfig{}); err == nil {
 		t.Fatal("tiny maxT must error")
 	}
 }
@@ -227,7 +236,7 @@ func TestEvolutionMixingTimeZeroForTrivial(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, _ := logit.New(g, 0)
-	tm, err := EvolutionMixingTime(d, DefaultEps, 10)
+	tm, err := EvolutionMixingTimePar(d, DefaultEps, 10, linalg.ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,15 +35,9 @@ type PotentialStats struct {
 	Zeta float64
 }
 
-// AnalyzePotential tabulates Φ over the profile space and computes the
-// statistics, serially. The profile space must be materializable; callers
-// holding a worker budget use AnalyzePotentialPar.
-func AnalyzePotential(p game.Potential) (*PotentialStats, error) {
-	return AnalyzePotentialPar(p, linalg.Serial)
-}
-
-// AnalyzePotentialPar is AnalyzePotential under an explicit worker budget:
-// the Φ tabulation and the Hamming-edge scan shard over profile ranges.
+// AnalyzePotentialPar tabulates Φ over the profile space and computes the
+// statistics. The profile space must be materializable. The Φ tabulation
+// and the Hamming-edge scan shard over profile ranges.
 // Extremal statistics combine with exact (order-independent) min/max, so
 // every worker count produces the same values. The Φ table and the ζ
 // scan's temporaries check out of par.Arena (nil = fresh), so st.Phi is

@@ -15,7 +15,7 @@ func TestAnalyzePotentialDoubleWell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := AnalyzePotential(dw)
+	st, err := AnalyzePotentialPar(dw, linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestAnalyzePotentialAsymmetricWell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := AnalyzePotential(g)
+	st, err := AnalyzePotentialPar(g, linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestAnalyzePotentialUnimodalHasZeroZeta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := AnalyzePotential(g)
+	st, err := AnalyzePotentialPar(g, linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestAnalyzePotentialConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := AnalyzePotential(g)
+	st, err := AnalyzePotentialPar(g, linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestAnalyzePotentialConstant(t *testing.T) {
 
 func TestAnalyzePotentialCoordinationGame(t *testing.T) {
 	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
-	st, err := AnalyzePotential(base)
+	st, err := AnalyzePotentialPar(base, linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestAnalyzePotentialCoordinationGame(t *testing.T) {
 
 func TestAnalyzePotentialDominantDiagonal(t *testing.T) {
 	g, _ := game.NewDominantDiagonal(3, 2)
-	st, err := AnalyzePotential(g)
+	st, err := AnalyzePotentialPar(g, linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestAnalyzePotentialGraphicalClique(t *testing.T) {
 	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
 	n := 5
 	g, _ := game.NewGraphical(graph.Clique(n), base)
-	st, err := AnalyzePotential(g)
+	st, err := AnalyzePotentialPar(g, linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}

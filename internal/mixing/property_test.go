@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"logitdyn/internal/game"
+	"logitdyn/internal/linalg"
 )
 
 // Property: for every weight potential, 0 <= ζ <= ΔΦ and δΦ <= ΔΦ.
@@ -20,7 +21,7 @@ func TestPropertyPotentialStatOrdering(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		st, err := AnalyzePotential(g)
+		st, err := AnalyzePotentialPar(g, linalg.Serial)
 		if err != nil {
 			return false
 		}
@@ -53,11 +54,11 @@ func TestPropertyZetaAffineBehaviour(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		stBase, err := AnalyzePotential(base)
+		stBase, err := AnalyzePotentialPar(base, linalg.Serial)
 		if err != nil {
 			return false
 		}
-		stMod, err := AnalyzePotential(mod)
+		stMod, err := AnalyzePotentialPar(mod, linalg.Serial)
 		if err != nil {
 			return false
 		}

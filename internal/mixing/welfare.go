@@ -49,7 +49,7 @@ type WelfareReport struct {
 func StationaryWelfarePar(d *logit.Dynamics, pi []float64, par linalg.ParallelConfig) (*WelfareReport, error) {
 	if pi == nil {
 		var err error
-		pi, err = d.Stationary()
+		pi, err = d.StationaryPar(par)
 		if err != nil {
 			return nil, err
 		}

@@ -180,11 +180,12 @@ func CongestionForOrdering(d *logit.Dynamics, ell []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	pi, err := d.Stationary()
+	par := linalg.ParallelConfig{}
+	pi, err := d.StationaryPar(par)
 	if err != nil {
 		return 0, err
 	}
-	return s.Congestion(d.TransitionDense(), pi)
+	return s.Congestion(d.TransitionDensePar(par), pi)
 }
 
 // SpectralGapLowerFromCongestion converts a congestion ρ into the Theorem

@@ -6,6 +6,7 @@ import (
 
 	"logitdyn/internal/game"
 	"logitdyn/internal/graph"
+	"logitdyn/internal/linalg"
 	"logitdyn/internal/logit"
 	"logitdyn/internal/mixing"
 	"logitdyn/internal/spectral"
@@ -110,11 +111,11 @@ func TestTheorem26CongestionBoundsRelaxation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pi, err := d.Stationary()
+			pi, err := d.StationaryPar(linalg.ParallelConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := d.TransitionDense()
+			p := d.TransitionDensePar(linalg.ParallelConfig{})
 			rho, err := s.Congestion(p, pi)
 			if err != nil {
 				t.Fatal(err)
@@ -190,7 +191,7 @@ func TestGamma5FeedsTheorem51(t *testing.T) {
 	}
 	// The full Theorem 5.1 mixing bound dominates ρ·log(1/(ε·π_min)) by
 	// construction; check the measured mixing time sits under the bound.
-	res, err := mixing.ExactMixingTime(d, 0.25, 1<<40)
+	res, err := mixing.ExactMixingTimePar(d, 0.25, 1<<40, linalg.ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,10 +209,10 @@ func TestCongestionSizeMismatch(t *testing.T) {
 	s := NewSet(sp)
 	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
 	d, _ := logit.New(base, 1)
-	pi, _ := d.Stationary()
+	pi, _ := d.StationaryPar(linalg.ParallelConfig{})
 	small := game.NewSpace([]int{2})
 	s2 := NewSet(small)
-	if _, err := s2.Congestion(d.TransitionDense(), pi); err == nil {
+	if _, err := s2.Congestion(d.TransitionDensePar(linalg.ParallelConfig{}), pi); err == nil {
 		t.Error("size mismatch must error")
 	}
 	_ = s

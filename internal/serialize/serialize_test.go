@@ -7,6 +7,7 @@ import (
 
 	"logitdyn/internal/game"
 	"logitdyn/internal/graph"
+	"logitdyn/internal/linalg"
 	"logitdyn/internal/logit"
 	"logitdyn/internal/markov"
 )
@@ -57,11 +58,11 @@ func TestGameRoundTripPreservesGibbs(t *testing.T) {
 	}
 	d1, _ := logit.New(g, 0.8)
 	d2, _ := logit.New(back, 0.8)
-	pi1, err := d1.Gibbs()
+	pi1, err := d1.GibbsPar(linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi2, err := d2.Gibbs()
+	pi2, err := d2.GibbsPar(linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}

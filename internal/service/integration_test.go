@@ -11,11 +11,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"logitdyn/internal/core"
 	"logitdyn/internal/serialize"
 	"logitdyn/internal/service"
 	"logitdyn/internal/spec"
+	"logitdyn/internal/store"
 )
 
 func startServer(t *testing.T, cfg service.Config) *httptest.Server {
@@ -278,6 +280,48 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s %s: status %d, want 400", c.path, c.body, resp.StatusCode)
 		}
+	}
+}
+
+// An out-of-range ε or max_t is a 400 decided before keying: no analysis
+// runs, nothing enters the cache and nothing is written to the store.
+func TestServiceRejectsOutOfRangeEps(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := startServer(t, service.Config{Store: st})
+	dw := &spec.Spec{Game: "doublewell", N: 6, C: 2, Delta1: 1}
+	if code, body := postJSON(t, srv.URL+"/v1/analyze", service.AnalyzeRequest{Spec: dw, Beta: 1.5}, nil); code != http.StatusOK {
+		t.Fatalf("valid analyze: status %d: %s", code, body)
+	}
+	before := getMetrics(t, srv.URL)
+	client := &http.Client{Timeout: 10 * time.Second}
+	for _, body := range []string{
+		`{"spec":{"game":"doublewell","n":6,"c":2,"delta1":1},"beta":1.5,"eps":1.5}`,
+		`{"spec":{"game":"doublewell","n":6,"c":2,"delta1":1},"beta":1.5,"eps":-0.5}`,
+		`{"spec":{"game":"doublewell","n":6,"c":2,"delta1":1},"beta":1.5,"eps":1}`,
+		`{"spec":{"game":"doublewell","n":6,"c":2,"delta1":1},"beta":1.5,"max_t":-1}`,
+		`{"spec":{"game":"doublewell","n":16,"c":5,"delta1":1},"beta":1,"eps":1.5}`,
+	} {
+		resp, err := client.Post(srv.URL+"/v1/analyze", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	after := getMetrics(t, srv.URL)
+	if after.Work.AnalysesPerformed != before.Work.AnalysesPerformed || after.Work.AnalysesFailed != before.Work.AnalysesFailed {
+		t.Errorf("rejected requests reached the analysis: work %+v -> %+v", before.Work, after.Work)
+	}
+	if after.Cache.Size != before.Cache.Size || after.Cache.Misses != before.Cache.Misses {
+		t.Errorf("rejected requests touched the cache: %+v -> %+v", before.Cache, after.Cache)
+	}
+	if after.Store.Store.Entries != before.Store.Store.Entries {
+		t.Errorf("rejected requests wrote the store: %d -> %d entries", before.Store.Store.Entries, after.Store.Store.Entries)
 	}
 }
 

@@ -2,9 +2,9 @@
 // source of truth for every worker the service may run, whether it is
 // serving a whole request or parallelizing inside one.
 //
-// Run acquires exactly one token (blocking) — that token is the request's
-// guarantee of progress, so a burst of requests queues instead of
-// exhausting the host. TryExtra borrows additional tokens for
+// RunCtx acquires exactly one token (blocking) — that token is the
+// request's guarantee of progress, so a burst of requests queues instead
+// of exhausting the host. TryExtra borrows additional tokens for
 // intra-request parallelism without ever blocking: under light load one
 // analysis spreads across the whole budget, under heavy load extras are
 // simply denied and the request runs on its one guaranteed token. Because
@@ -18,7 +18,7 @@
 // token always goes to the longest-waiting interactive acquirer first;
 // sweep acquirers advance only when no interactive request is waiting.
 // Because sweep points re-enter the queue between points (each point is
-// one Run), this is preemption at point granularity: a saturating sweep
+// one RunCtx), this is preemption at point granularity: a saturating sweep
 // yields to interactive traffic one point-duration at a time, without
 // ever killing in-flight work — points are idempotent store writes, so
 // "preempting" a sweep is just not handing its next point a token until
@@ -149,14 +149,10 @@ func (p *Pool) releaseToken() {
 	p.mu.Unlock()
 }
 
-// Run blocks until a worker token is free, then runs fn holding it, at
-// interactive priority.
-func (p *Pool) Run(fn func()) { p.RunClassCtx(context.Background(), ClassInteractive, fn) }
-
-// RunCtx is Run with observability: the time spent blocked on the token
-// is recorded as a queue-wait span against ctx's observer/trace. The
-// context does NOT cancel the wait — a request that queued keeps its
-// guarantee of progress.
+// RunCtx blocks until a worker token is free, then runs fn holding it, at
+// interactive priority. The time spent blocked on the token is recorded
+// as a queue-wait span against ctx's observer/trace. The context does NOT
+// cancel the wait — a request that queued keeps its guarantee of progress.
 func (p *Pool) RunCtx(ctx context.Context, fn func()) {
 	p.RunClassCtx(ctx, ClassInteractive, fn)
 }
@@ -223,17 +219,14 @@ func (p *Pool) TryExtraClass(class Class, max int) (got int, release func()) {
 func (p *Pool) ForClass(class Class) *ClassPool { return &ClassPool{p: p, class: class} }
 
 // ClassPool is a class-bound view of a Pool; it satisfies
-// sweep.TokenPool (plus the optional RunCtx extension the sweep
-// evaluators probe for).
+// sweep.TokenPool.
 type ClassPool struct {
 	p     *Pool
 	class Class
 }
 
-// Run runs fn on one blocking token at the bound class.
-func (c *ClassPool) Run(fn func()) { c.p.RunClassCtx(context.Background(), c.class, fn) }
-
-// RunCtx is Run with the queue wait recorded against ctx's trace.
+// RunCtx runs fn on one blocking token at the bound class, recording the
+// queue wait against ctx's trace.
 func (c *ClassPool) RunCtx(ctx context.Context, fn func()) { c.p.RunClassCtx(ctx, c.class, fn) }
 
 // TryExtra borrows extras at the bound class.
@@ -250,7 +243,7 @@ func (p *Pool) Workers() int { return p.workers }
 // InFlight is the number of requests currently holding a Run token.
 func (p *Pool) InFlight() int64 { return p.inFlight.Load() }
 
-// Waiting is the total queue depth: goroutines blocked in Run right now,
+// Waiting is the total queue depth: goroutines blocked in RunCtx right now,
 // both classes together.
 func (p *Pool) Waiting() int64 {
 	p.mu.Lock()

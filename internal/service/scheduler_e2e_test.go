@@ -1,7 +1,7 @@
-// End-to-end tests for the scheduler PR: one-way terminal sweep status
-// (the DELETE/completion race), journal replay after a simulated daemon
-// restart, byte-determinism of sweep tables under concurrent interactive
-// load, and the typed-nil service-pool regression.
+// End-to-end tests for the scheduler: one-way terminal sweep status (the
+// DELETE/completion race), journal replay after a simulated daemon
+// restart, and byte-determinism of sweep tables under concurrent
+// interactive load.
 package service_test
 
 import (
@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,7 +16,6 @@ import (
 	"logitdyn/internal/journal"
 	"logitdyn/internal/service"
 	"logitdyn/internal/store"
-	"logitdyn/internal/sweep"
 )
 
 // smallGrid is an 8-point doublewell grid whose β axis is an explicit
@@ -274,30 +272,5 @@ func TestSweepBytesStableUnderInteractiveLoad(t *testing.T) {
 	m := getMetrics(t, loaded.URL)
 	if m.Work.AnalysesPerformed <= uint64(quietDoc.Stats.Analyzed) {
 		t.Fatalf("no interactive analyses completed under load: %d total", m.Work.AnalysesPerformed)
-	}
-}
-
-// The typed-nil regression at the service boundary: a nil *service.Pool
-// stored in sweep.TokenPool (the exact shape an unset bench.Executor.Pool
-// produces) must run serially, not panic on a nil receiver.
-func TestTypedNilServicePoolDoesNotPanic(t *testing.T) {
-	var p *service.Pool
-	grid, err := sweep.ParseGrid(strings.NewReader(
-		`{"axes":{"beta":[0.5,1]},"base":{"game":"doublewell","n":4,"c":2,"delta1":1}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &sweep.Runner{Eval: sweep.DirectEvalScratch(nil, p, nil), Workers: 2}
-	res, stats, err := r.Run(t.Context(), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Failed != 0 || len(res.Rows) != 2 {
-		t.Fatalf("typed-nil pool run: stats=%+v", stats)
-	}
-	for _, row := range res.Rows {
-		if row.Error != "" {
-			t.Fatalf("point %d failed: %s", row.Point, row.Error)
-		}
 	}
 }

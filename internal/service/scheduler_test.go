@@ -32,7 +32,7 @@ func TestPoolInteractiveBeatsQueuedSweep(t *testing.T) {
 	p := NewPool(1)
 	hold := make(chan struct{})
 	running := make(chan struct{})
-	go p.Run(func() { close(running); <-hold })
+	go p.RunCtx(context.Background(), func() { close(running); <-hold })
 	<-running
 
 	var mu sync.Mutex
@@ -55,7 +55,7 @@ func TestPoolInteractiveBeatsQueuedSweep(t *testing.T) {
 	// ...and the interactive request arrives second.
 	go func() {
 		defer wg.Done()
-		p.Run(record("interactive"))
+		p.RunCtx(context.Background(), record("interactive"))
 	}()
 	waitFor(t, "interactive waiter", func() bool { return p.WaitingClass(ClassInteractive) == 1 })
 
@@ -138,14 +138,14 @@ func TestAdmissionControl429(t *testing.T) {
 
 	hold := make(chan struct{})
 	running := make(chan struct{})
-	go s.pool.Run(func() { close(running); <-hold })
+	go s.pool.RunCtx(context.Background(), func() { close(running); <-hold })
 	<-running
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.pool.Run(func() {})
+			s.pool.RunCtx(context.Background(), func() {})
 		}()
 	}
 	waitFor(t, "two queued waiters", func() bool { return s.pool.Waiting() == 2 })

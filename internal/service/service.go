@@ -122,9 +122,6 @@ func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = obs.NopLogger()
 	}
-	// A typed-nil store (a nil *store.Store threaded through the interface)
-	// must behave exactly like no store at all.
-	c.Store = cluster.Normalize(c.Store)
 	return c
 }
 
@@ -558,8 +555,7 @@ func (s *Service) analyzeOne(ctx context.Context, req AnalyzeRequest) (*AnalyzeR
 // worker budget and the release function (always non-nil; call it when
 // the parallel section ends).
 func (s *Service) borrowFor(ctx context.Context, n int) (par linalg.ParallelConfig, release func()) {
-	useful := n/linalg.DefaultMinRows - 1
-	got, release := s.pool.TryExtraClass(classFrom(ctx), min(s.pool.Workers()-1, useful))
+	got, release := s.pool.TryExtraClass(classFrom(ctx), linalg.ExtraWorkers(n, s.pool.Workers()))
 	return linalg.ParallelConfig{Workers: 1 + got}, release
 }
 
@@ -612,6 +608,9 @@ func (s *Service) analyzeBuiltTier(ctx context.Context, g game.Game, digest [32]
 		MaxExactStates: s.cfg.Limits.MaxProfiles,
 		Backend:        string(resolved),
 	}.Normalized()
+	if err := opts.Validate(); err != nil {
+		return nil, "", err
+	}
 	// The cache key is derived before the worker budget is known: the
 	// budget never changes the report (linalg's parallel reductions use
 	// fixed block boundaries), so Parallel must not split cache slots.

@@ -213,7 +213,7 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.Run(func() {
+			p.RunCtx(context.Background(), func() {
 				running <- struct{}{}
 				<-gate
 			})

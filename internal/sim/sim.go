@@ -151,21 +151,3 @@ func SumCounts(replicas int, seed uint64, workers, n int, run func(replica int, 
 	}
 	return total
 }
-
-// Grid2 builds the cross product of two parameter slices as (a, b) pairs in
-// row-major order, for sweeping (β, n)-style grids through Map.
-func Grid2[A, B any](as []A, bs []B) []Pair[A, B] {
-	out := make([]Pair[A, B], 0, len(as)*len(bs))
-	for _, a := range as {
-		for _, b := range bs {
-			out = append(out, Pair[A, B]{First: a, Second: b})
-		}
-	}
-	return out
-}
-
-// Pair is a generic two-field tuple for parameter grids.
-type Pair[A, B any] struct {
-	First  A
-	Second B
-}

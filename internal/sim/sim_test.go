@@ -82,19 +82,6 @@ func TestRepeat(t *testing.T) {
 	}
 }
 
-func TestGrid2RowMajor(t *testing.T) {
-	g := Grid2([]int{1, 2}, []string{"a", "b", "c"})
-	if len(g) != 6 {
-		t.Fatalf("len = %d", len(g))
-	}
-	if g[0].First != 1 || g[0].Second != "a" {
-		t.Fatalf("g[0] = %+v", g[0])
-	}
-	if g[5].First != 2 || g[5].Second != "c" {
-		t.Fatalf("g[5] = %+v", g[5])
-	}
-}
-
 func TestSumCountsWorkerInvariant(t *testing.T) {
 	// Replica r bumps a few slots chosen by its own stream; the totals must
 	// be identical whatever the worker count, including 1.

@@ -232,11 +232,11 @@ func BenchmarkDenseMixingTime(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pi, err := dyn.Gibbs()
+		pi, err := dyn.GibbsPar(linalg.Serial)
 		if err != nil {
 			b.Fatal(err)
 		}
-		dec, err := Decompose(dyn.TransitionDense(), pi)
+		dec, err := Decompose(dyn.TransitionDensePar(linalg.ParallelConfig{}), pi)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"logitdyn/internal/game"
 	"logitdyn/internal/graph"
+	"logitdyn/internal/linalg"
 	"logitdyn/internal/logit"
 	"logitdyn/internal/markov"
 	"logitdyn/internal/rng"
@@ -17,11 +18,11 @@ func lanczosForGame(t *testing.T, g game.Game, beta float64, iters int) (*Lanczo
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := d.Stationary()
+	pi, err := d.StationaryPar(linalg.ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := NewSymOperator(d.TransitionSparse(), pi)
+	op, err := NewSymOperator(d.TransitionSparsePar(linalg.ParallelConfig{}), pi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +44,8 @@ func TestLanczosMatchesDenseOnSmallChains(t *testing.T) {
 	} {
 		for _, beta := range []float64{0.3, 1, 2} {
 			res, d := lanczosForGame(t, g, beta, 200)
-			pi, _ := d.Stationary()
-			dec, err := Decompose(d.TransitionDense(), pi)
+			pi, _ := d.StationaryPar(linalg.ParallelConfig{})
+			dec, err := Decompose(d.TransitionDensePar(linalg.ParallelConfig{}), pi)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,8 +62,8 @@ func TestLanczosMatchesDenseOnSmallChains(t *testing.T) {
 func TestLanczosOperatorFixesTopVector(t *testing.T) {
 	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
 	d, _ := logit.New(base, 1)
-	pi, _ := d.Stationary()
-	op, err := NewSymOperator(d.TransitionSparse(), pi)
+	pi, _ := d.StationaryPar(linalg.ParallelConfig{})
+	op, err := NewSymOperator(d.TransitionSparsePar(linalg.ParallelConfig{}), pi)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,34 +272,6 @@ func (d *Decomposition) tvBlock(x0, m int, lt []float64, runs []int, coef []floa
 	return [startBlock]float64{s0, s1, s2, s3}
 }
 
-// DistributionAt returns the exact distribution P^t(x, ·) of the chain
-// started at x after t steps, computed from the decomposition (no
-// step-by-step evolution). Tiny negative entries from roundoff are clamped
-// and the vector renormalized.
-func (d *Decomposition) DistributionAt(x int, t int64) []float64 {
-	n := len(d.Values)
-	out := make([]float64, n)
-	for y := 0; y < n; y++ {
-		dev := 0.0
-		for k := 1; k < n; k++ {
-			lt := powInt(d.Values[k], t)
-			if math.Abs(lt) <= 1e-17 {
-				continue
-			}
-			dev += lt * d.Psi.At(x, k) * d.Psi.At(y, k)
-		}
-		v := d.Pi[y] + dev*d.sqrtPi[y]/d.sqrtPi[x]
-		if v < 0 {
-			v = 0
-		}
-		out[y] = v
-	}
-	if s := linalg.Sum(out); s > 0 {
-		linalg.Scale(1/s, out)
-	}
-	return out
-}
-
 // DistanceFrom returns ||P^t(x,·) − π||_TV for a single starting state.
 // It is a one-start call of Distance's kernel, so Distance(t) is exactly
 // the largest DistanceFrom(x, t).

@@ -65,8 +65,8 @@ func TestDistanceMatchesBruteForce(t *testing.T) {
 	// every row of P^t.
 	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
 	dyn, _ := logit.New(base, 0.8)
-	p := dyn.TransitionDense()
-	pi, err := dyn.Gibbs()
+	p := dyn.TransitionDensePar(linalg.ParallelConfig{})
+	pi, err := dyn.GibbsPar(linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +96,8 @@ func TestDistanceMatchesBruteForce(t *testing.T) {
 func TestDistanceFromMatchesBruteForce(t *testing.T) {
 	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
 	dyn, _ := logit.New(base, 1.1)
-	p := dyn.TransitionDense()
-	pi, _ := dyn.Gibbs()
+	p := dyn.TransitionDensePar(linalg.ParallelConfig{})
+	pi, _ := dyn.GibbsPar(linalg.Serial)
 	dec, err := Decompose(p, pi)
 	if err != nil {
 		t.Fatal(err)
@@ -129,11 +129,11 @@ func TestDistanceMonotoneNonIncreasing(t *testing.T) {
 
 func mustDecompose(t *testing.T, dyn *logit.Dynamics) *Decomposition {
 	t.Helper()
-	pi, err := dyn.Gibbs()
+	pi, err := dyn.GibbsPar(linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decompose(dyn.TransitionDense(), pi)
+	dec, err := Decompose(dyn.TransitionDensePar(linalg.ParallelConfig{}), pi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,8 +263,8 @@ func BenchmarkDistanceRing6(b *testing.B) {
 	base, _ := game.NewCoordination2x2(2, 2, 0, 0)
 	g, _ := game.NewGraphical(graph.Ring(6), base)
 	dyn, _ := logit.New(g, 1)
-	pi, _ := dyn.Gibbs()
-	dec, err := Decompose(dyn.TransitionDense(), pi)
+	pi, _ := dyn.GibbsPar(linalg.Serial)
+	dec, err := Decompose(dyn.TransitionDensePar(linalg.ParallelConfig{}), pi)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -278,48 +278,12 @@ func BenchmarkDecomposeRing8(b *testing.B) {
 	base, _ := game.NewCoordination2x2(2, 2, 0, 0)
 	g, _ := game.NewGraphical(graph.Ring(8), base)
 	dyn, _ := logit.New(g, 1)
-	pi, _ := dyn.Gibbs()
-	p := dyn.TransitionDense()
+	pi, _ := dyn.GibbsPar(linalg.Serial)
+	p := dyn.TransitionDensePar(linalg.ParallelConfig{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Decompose(p, pi); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestDistributionAtMatchesEvolution(t *testing.T) {
-	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
-	dyn, _ := logit.New(base, 0.9)
-	p := dyn.TransitionDense()
-	pi, _ := dyn.Gibbs()
-	dec, err := Decompose(p, pi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := 0; x < p.Rows; x++ {
-		for _, tt := range []int64{0, 1, 3, 25} {
-			e := make([]float64, p.Rows)
-			e[x] = 1
-			want := markov.Evolve(p, e, int(tt))
-			got := dec.DistributionAt(x, tt)
-			if tv := markov.TVDistance(got, want); tv > 1e-10 {
-				t.Fatalf("x=%d t=%d: spectral vs evolution TV = %g", x, tt, tv)
-			}
-		}
-	}
-}
-
-func TestDistributionAtLargeTimeIsStationary(t *testing.T) {
-	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
-	dyn, _ := logit.New(base, 1.2)
-	pi, _ := dyn.Gibbs()
-	dec, err := Decompose(dyn.TransitionDense(), pi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu := dec.DistributionAt(0, 1<<40)
-	if tv := markov.TVDistance(mu, pi); tv > 1e-12 {
-		t.Fatalf("P^t(0,·) at huge t differs from π by %g", tv)
 	}
 }

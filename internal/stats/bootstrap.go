@@ -39,24 +39,3 @@ func BootstrapQuantileCI(xs []float64, q float64, iters int, alpha float64, r *r
 	hi = Quantile(stat, 1-alpha/2)
 	return lo, hi, nil
 }
-
-// BootstrapMeanCI returns a (1−alpha) percentile-bootstrap confidence
-// interval for the mean of the sample.
-func BootstrapMeanCI(xs []float64, iters int, alpha float64, r *rng.RNG) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, errors.New("stats: bootstrap of empty sample")
-	}
-	if alpha <= 0 || alpha >= 1 || iters < 2 {
-		return 0, 0, errors.New("stats: bad bootstrap parameters")
-	}
-	stat := make([]float64, iters)
-	resample := make([]float64, len(xs))
-	for b := 0; b < iters; b++ {
-		for i := range resample {
-			resample[i] = xs[r.Intn(len(xs))]
-		}
-		stat[b] = Mean(resample)
-	}
-	sort.Float64s(stat)
-	return Quantile(stat, alpha/2), Quantile(stat, 1-alpha/2), nil
-}

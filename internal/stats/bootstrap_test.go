@@ -6,38 +6,6 @@ import (
 	"logitdyn/internal/rng"
 )
 
-func TestBootstrapMeanCICoversTruth(t *testing.T) {
-	// Standard-normal-ish sample via CLT of uniforms; the 95% CI of the
-	// mean must cover the true mean 0 in the overwhelming majority of
-	// repetitions.
-	r := rng.New(5)
-	covered := 0
-	const reps = 60
-	for rep := 0; rep < reps; rep++ {
-		xs := make([]float64, 200)
-		for i := range xs {
-			s := 0.0
-			for k := 0; k < 12; k++ {
-				s += r.Float64()
-			}
-			xs[i] = s - 6
-		}
-		lo, hi, err := BootstrapMeanCI(xs, 400, 0.05, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lo <= 0 && 0 <= hi {
-			covered++
-		}
-		if lo > hi {
-			t.Fatalf("inverted interval [%g, %g]", lo, hi)
-		}
-	}
-	if covered < reps*80/100 {
-		t.Fatalf("95%% CI covered the truth only %d/%d times", covered, reps)
-	}
-}
-
 func TestBootstrapQuantileCIOrdering(t *testing.T) {
 	r := rng.New(9)
 	xs := make([]float64, 500)
@@ -68,18 +36,15 @@ func TestBootstrapValidation(t *testing.T) {
 	if _, _, err := BootstrapQuantileCI([]float64{1}, 0.5, 1, 0.05, r); err == nil {
 		t.Error("iters < 2 must error")
 	}
-	if _, _, err := BootstrapMeanCI(nil, 100, 0.05, r); err == nil {
-		t.Error("empty mean sample must error")
-	}
-	if _, _, err := BootstrapMeanCI([]float64{1}, 100, 2, r); err == nil {
+	if _, _, err := BootstrapQuantileCI([]float64{1}, 0.5, 100, 2, r); err == nil {
 		t.Error("bad alpha must error")
 	}
 }
 
 func TestBootstrapDeterministic(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	l1, h1, _ := BootstrapMeanCI(xs, 100, 0.1, rng.New(3))
-	l2, h2, _ := BootstrapMeanCI(xs, 100, 0.1, rng.New(3))
+	l1, h1, _ := BootstrapQuantileCI(xs, 0.5, 100, 0.1, rng.New(3))
+	l2, h2, _ := BootstrapQuantileCI(xs, 0.5, 100, 0.1, rng.New(3))
 	if l1 != l2 || h1 != h2 {
 		t.Fatal("bootstrap must be deterministic given the seed")
 	}

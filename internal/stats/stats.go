@@ -87,18 +87,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the sample median.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// CI95 returns a normal-approximation 95% confidence half-width for the mean
-// of the sample. Zero for samples of size < 2.
-func CI95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return 1.96 * Summarize(xs).StdErr
-}
-
 // LinFit holds a least-squares line y = Intercept + Slope*x.
 type LinFit struct {
 	Slope     float64

@@ -87,22 +87,3 @@ func TestSweepTableByteIdenticalAcrossShardLayouts(t *testing.T) {
 		t.Fatal("warm ring rerun changed the table bytes")
 	}
 }
-
-// A typed-nil store threaded through the interface must behave exactly
-// like no store: the sweep runs cold and completes.
-func TestDirectEvalTypedNilStore(t *testing.T) {
-	var st *store.Store
-	r := &Runner{Eval: DirectEvalScratch(st, nil, nil), Workers: 2}
-	g := &Grid{
-		Name: "nilstore",
-		Axes: Axes{Game: []string{"doublewell"}, N: []int{4}, Beta: &Schedule{From: 1, To: 1, Steps: 1}},
-		Base: testGrid().Base,
-	}
-	res, stats, err := r.Run(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Analyzed != 1 || res.Rows[0].Error != "" {
-		t.Fatalf("typed-nil store sweep: stats %+v row %+v", stats, res.Rows[0])
-	}
-}

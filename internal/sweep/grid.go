@@ -15,6 +15,7 @@ import (
 	"io"
 	"math"
 
+	"logitdyn/internal/core"
 	"logitdyn/internal/logit"
 	"logitdyn/internal/spec"
 )
@@ -250,11 +251,8 @@ func (g *Grid) validate(maxPoints int) ([]float64, error) {
 	if _, err := logit.ParseBackend(g.Backend); err != nil {
 		return nil, err
 	}
-	if math.IsNaN(g.Eps) || math.IsInf(g.Eps, 0) || g.Eps < 0 || g.Eps >= 1 {
-		return nil, fmt.Errorf("sweep: eps must be in [0, 1), got %v", g.Eps)
-	}
-	if g.MaxT < 0 {
-		return nil, fmt.Errorf("sweep: max_t must be nonnegative, got %d", g.MaxT)
+	if err := (core.Options{Eps: g.Eps, MaxT: g.MaxT}).Validate(); err != nil {
+		return nil, fmt.Errorf("sweep: grid: %w", err)
 	}
 	for name, vals := range map[string][]float64{
 		"delta0": g.Axes.Delta0, "delta1": g.Axes.Delta1,

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"reflect"
 	"runtime"
 	"strconv"
 	"sync"
@@ -98,28 +97,14 @@ type Outcome struct {
 type Eval func(ctx context.Context, j *Job) (Outcome, error)
 
 // TokenPool is the worker-token semaphore the runner's evaluators borrow
-// from (satisfied by internal/service.Pool): Run holds one blocking token,
+// from (satisfied by internal/service.Pool and its class-bound views):
+// RunCtx holds one blocking token, recording the wait against ctx's trace;
 // TryExtra borrows idle tokens for intra-analysis parallelism without
 // blocking.
 type TokenPool interface {
-	Run(fn func())
+	RunCtx(ctx context.Context, fn func())
 	TryExtra(max int) (got int, release func())
 	Workers() int
-}
-
-// poolOrNil normalizes a TokenPool for the "no pool" checks: a typed nil
-// (a nil *service.Pool stored in the interface, e.g. an unset
-// bench.Executor.Pool field) compares non-nil as an interface but would
-// panic on the first method call, so it is treated as absent just like the
-// untyped nil.
-func poolOrNil(pool TokenPool) TokenPool {
-	if pool == nil {
-		return nil
-	}
-	if v := reflect.ValueOf(pool); v.Kind() == reflect.Pointer && v.IsNil() {
-		return nil
-	}
-	return pool
 }
 
 // Row is one grid point's line in the aggregate table. Every field is a
@@ -502,10 +487,6 @@ func evalSafely(ctx context.Context, eval Eval, j *Job) (out Outcome, err error)
 // instead of reallocating it. A nil sp analyzes with fresh allocations;
 // results are bit-identical either way.
 func DirectEvalScratch(st cluster.ReportStore, pool TokenPool, sp *scratch.Pool) Eval {
-	pool = poolOrNil(pool)
-	// Same typed-nil trap as poolOrNil: a nil *store.Store threaded through
-	// the interface must mean "no store", not a panic on first Get.
-	st = cluster.Normalize(st)
 	return func(ctx context.Context, j *Job) (Outcome, error) {
 		if st != nil {
 			// The run ctx rides into peer-backed stores: cancelling the sweep
@@ -528,11 +509,7 @@ func DirectEvalScratch(st cluster.ReportStore, pool TokenPool, sp *scratch.Pool)
 		run := func() {
 			opts := j.Opts
 			if pool != nil {
-				// Clamped at zero: a game under DefaultMinRows profiles makes
-				// useful −1, and a negative max must borrow nothing rather than
-				// reach TryExtra (whose contract starts at 0).
-				useful := max(0, j.NumProfiles/linalg.DefaultMinRows-1)
-				extra, release := pool.TryExtra(min(pool.Workers()-1, useful))
+				extra, release := pool.TryExtra(linalg.ExtraWorkers(j.NumProfiles, pool.Workers()))
 				defer release()
 				opts.Parallel = linalg.ParallelConfig{Workers: 1 + extra}
 			}
@@ -541,17 +518,10 @@ func DirectEvalScratch(st cluster.ReportStore, pool TokenPool, sp *scratch.Pool)
 			opts.Parallel.Arena = ar
 			rep, aerr = core.AnalyzeGameCtx(ctx, table, j.Beta, opts)
 		}
-		switch p := pool.(type) {
-		case nil:
+		if pool == nil {
 			run()
-		case interface {
-			RunCtx(ctx context.Context, fn func())
-		}:
-			// The service pool records the token wait as a queue-wait span
-			// when given the job's context.
-			p.RunCtx(ctx, run)
-		default:
-			pool.Run(run)
+		} else {
+			pool.RunCtx(ctx, run)
 		}
 		if aerr != nil {
 			return Outcome{}, aerr

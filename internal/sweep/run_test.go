@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"logitdyn/internal/cluster"
 	"logitdyn/internal/spec"
 	"logitdyn/internal/store"
 )
@@ -26,7 +27,7 @@ func testGrid() *Grid {
 	}
 }
 
-func runAll(t *testing.T, st *store.Store, g *Grid) (*Result, RunStats) {
+func runAll(t *testing.T, st cluster.ReportStore, g *Grid) (*Result, RunStats) {
 	t.Helper()
 	r := &Runner{Eval: DirectEvalScratch(st, nil, nil), Workers: 4}
 	res, stats, err := r.Run(context.Background(), g)
