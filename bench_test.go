@@ -425,14 +425,15 @@ func BenchmarkParallelServiceAnalyze65536(b *testing.B) {
 // sparse analysis used to cost 134,360 allocs/op; the arena + in-place hot
 // paths brought the warm steady state under the budgets below, and any
 // change that silently re-introduces per-iteration allocation on the hot
-// path fails here. CI runs them with -benchtime 3x -cpu 1, the shape the
-// budgets were measured on: at more CPUs every parallel loop's goroutine
-// spawns count as allocations too.
+// path fails here. CI runs them with -benchtime 3x -cpu 1,2, the shapes
+// the budgets were measured on: at two CPUs every parallel loop's
+// goroutine spawns count as allocations too, which is why Lanczos spawns
+// its worker team once per call rather than once per projection.
 
 // allocBudgetSparseAnalyze65536 bounds allocated OBJECTS per warm-arena
-// 65,536-profile sparse analysis. Measured steady state is ~400; the
-// budget leaves headroom for harness noise while still sitting ~65×
-// under the pre-arena count.
+// 65,536-profile sparse analysis. Measured steady state is ~300 at one
+// CPU and ~650 at two; the budget leaves headroom for harness noise while
+// still sitting ~65× under the pre-arena count.
 const allocBudgetSparseAnalyze65536 = 2_000
 
 func BenchmarkAllocSparseAnalyze65536(b *testing.B) {

@@ -352,7 +352,7 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, opts Options) (*Report, error
 	if prof, ok := game.DominantProfilePar(g, 1e-12, opts.Parallel); ok {
 		rep.DominantProfile = prof
 	}
-	rep.Welfare, err = mixing.StationaryWelfarePar(a.dyn, pi, opts.Parallel)
+	rep.Welfare, err = mixing.WelfareFromNash(a.dyn, pi, rep.PureNash, opts.Parallel)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -504,5 +505,62 @@ func TestAnalyzeIncludesWelfare(t *testing.T) {
 	}
 	if rep.Welfare.Expected <= 0 || rep.Welfare.Expected > rep.Welfare.Optimum {
 		t.Errorf("expected welfare %g out of range", rep.Welfare.Expected)
+	}
+}
+
+// callLog is a potential game that records each Utility call as one
+// number, player·|S| + profile index, so a test can find one scan's exact
+// call sequence inside a whole analysis.
+type callLog struct {
+	game.Potential
+	sp    *game.Space
+	mu    sync.Mutex
+	calls []int
+}
+
+func (c *callLog) Utility(i int, x []int) float64 {
+	c.mu.Lock()
+	c.calls = append(c.calls, i*c.sp.Size()+c.sp.Encode(x))
+	c.mu.Unlock()
+	return c.Potential.Utility(i, x)
+}
+
+// occurrences counts the non-overlapping runs of pass inside calls.
+func occurrences(calls, pass []int) int {
+	n := 0
+	for i := 0; i+len(pass) <= len(calls); {
+		if slices.Equal(calls[i:i+len(pass)], pass) {
+			n++
+			i += len(pass)
+		} else {
+			i++
+		}
+	}
+	return n
+}
+
+func TestAnalyzeScansNashOnce(t *testing.T) {
+	// The report's equilibrium list and its welfare both need the pure
+	// Nash equilibria; one analysis must scan for them once. On one worker
+	// a scan is one fixed call sequence, so count its runs in the
+	// analysis' calls.
+	g, err := game.NewDoubleWell(6, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := &callLog{Potential: g, sp: game.SpaceOf(g)}
+	game.PureNashEquilibriaPar(scan, 1e-12, linalg.Serial)
+	for _, backend := range []string{"dense", "sparse"} {
+		an := &callLog{Potential: g, sp: game.SpaceOf(g)}
+		rep, err := AnalyzeGame(an, 1, Options{Backend: backend, Parallel: linalg.Serial})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.PureNash) == 0 || rep.Welfare == nil || math.IsNaN(rep.Welfare.WorstNash) {
+			t.Fatalf("%s: the analysis found no equilibria to scan for", backend)
+		}
+		if n := occurrences(an.calls, scan.calls); n != 1 {
+			t.Errorf("%s: the analysis scanned for pure Nash equilibria %d times, want once", backend, n)
+		}
 	}
 }

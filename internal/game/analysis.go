@@ -71,13 +71,31 @@ func IsPureNash(g Game, x []int, tol float64) bool {
 	return true
 }
 
+// isPureNashAt is IsPureNash for the profile x with index idx, reading
+// utilities by index: the same comparisons in the same order.
+func (t *TableGame) isPureNashAt(x []int, idx int, tol float64) bool {
+	for i, u := range t.utils {
+		stride := t.space.Stride(i)
+		cur := u[idx]
+		at := idx - x[i]*stride
+		for v := 0; v < t.space.Strategies(i); v++ {
+			if v != x[i] && u[at] > cur+tol {
+				return false
+			}
+			at += stride
+		}
+	}
+	return true
+}
+
 // PureNashEquilibriaPar enumerates all pure Nash equilibria by profile
 // index, in increasing index order, scanning the whole profile space. Each
 // chunk collects its equilibria locally, chunk lists sort by starting
 // index and concatenate, so the output is the same increasing index list
-// for every worker count.
+// for every worker count. A table game is read by profile index.
 func PureNashEquilibriaPar(g Game, tol float64, par linalg.ParallelConfig) []int {
 	sp := SpaceOf(g)
+	t, _ := g.(*TableGame)
 	type chunk struct {
 		lo   int
 		hits []int
@@ -89,7 +107,7 @@ func PureNashEquilibriaPar(g Game, tol float64, par linalg.ParallelConfig) []int
 		var local []int
 		for idx := lo; idx < hi; idx++ {
 			sp.Decode(idx, x)
-			if IsPureNash(g, x, tol) {
+			if t != nil && t.isPureNashAt(x, idx, tol) || t == nil && IsPureNash(g, x, tol) {
 				local = append(local, idx)
 			}
 		}
@@ -111,10 +129,28 @@ func PureNashEquilibriaPar(g Game, tol float64, par linalg.ParallelConfig) []int
 // definition. The opponent-profile scan is sharded over the worker budget.
 // The predicate is a pure conjunction, so any chunking returns the same
 // boolean; a shared flag lets all chunks stop early once one
-// counterexample is found.
+// counterexample is found. A table game is read by profile index.
 func IsDominantStrategyPar(g Game, i, s int, tol float64, par linalg.ParallelConfig) bool {
 	sp := SpaceOf(g)
 	var refuted atomic.Bool
+	if t, ok := g.(*TableGame); ok {
+		u, stride, m := t.utils[i], sp.Stride(i), sp.Strategies(i)
+		par.For(sp.Size(), func(lo, hi int) {
+			for idx := lo; idx < hi && !refuted.Load(); idx++ {
+				if sp.Digit(idx, i) != 0 {
+					continue // enumerate each x_-i once, with player i's digit fixed
+				}
+				us := u[idx+s*stride]
+				for v := 0; v < m; v++ {
+					if u[idx+v*stride] > us+tol {
+						refuted.Store(true)
+						return
+					}
+				}
+			}
+		})
+		return !refuted.Load()
+	}
 	par.For(sp.Size(), func(lo, hi int) {
 		x := make([]int, sp.Players())
 		for idx := lo; idx < hi && !refuted.Load(); idx++ {

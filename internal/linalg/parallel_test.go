@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -164,5 +165,39 @@ func TestCSRFromPartsRejectsMalformed(t *testing.T) {
 	}
 	if _, err := CSRFromParts(2, 2, []int{0, 1, 2}, []int{0, 1}, []float64{1, 1}); err != nil {
 		t.Fatalf("rejected a valid structure: %v", err)
+	}
+}
+
+func TestTeamReductionsMatchDotAndAxpy(t *testing.T) {
+	// Budgets above the host's cores still build teams that large.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(8, runtime.GOMAXPROCS(0))))
+	for _, n := range []int{1, ReduceBlock - 1, ReduceBlock, 3*ReduceBlock + 17, 9 * ReduceBlock} {
+		x, z := testVector(n, 0.3), testVector(n, 0.7)
+		for _, w := range workerCounts {
+			y, want := testVector(n, 0.5), testVector(n, 0.5)
+			team := ParallelConfig{Workers: w}.NewTeam(n)
+			// Several jobs on one team, each with two reductions.
+			for job := 0; job < 3; job++ {
+				var dot, axpyDot float64
+				team.Run(func(m *TeamMember) {
+					d := m.Dot(y, z)
+					a := m.AxpyDot(0.25, x, y, z)
+					if m.Leader() {
+						dot, axpyDot = d, a
+					}
+				})
+				wantDot := Serial.Dot(want, z)
+				Serial.Axpy(0.25, x, want)
+				if dot != wantDot || axpyDot != Serial.Dot(want, z) {
+					t.Fatalf("n=%d workers=%d job %d: team dots %v, %v; Dot %v, %v", n, w, job, dot, axpyDot, wantDot, Serial.Dot(want, z))
+				}
+				for i := range y {
+					if y[i] != want[i] {
+						t.Fatalf("n=%d workers=%d job %d: y[%d] = %v, Axpy gives %v", n, w, job, i, y[i], want[i])
+					}
+				}
+			}
+			team.Close()
+		}
 	}
 }

@@ -39,6 +39,9 @@ type Dynamics struct {
 	g     game.Game
 	beta  float64
 	space *game.Space
+	// tab is g when g is a materialized table: update rows then read
+	// utilities by profile index instead of encoding each deviation.
+	tab *game.TableGame
 }
 
 // New validates β >= 0 and returns the dynamics.
@@ -49,7 +52,8 @@ func New(g game.Game, beta float64) (*Dynamics, error) {
 	if beta < 0 || math.IsNaN(beta) || math.IsInf(beta, 0) {
 		return nil, fmt.Errorf("logit: inverse noise must be finite and >= 0, got %g", beta)
 	}
-	return &Dynamics{g: g, beta: beta, space: game.SpaceOf(g)}, nil
+	tab, _ := g.(*game.TableGame)
+	return &Dynamics{g: g, beta: beta, space: game.SpaceOf(g), tab: tab}, nil
 }
 
 // Game returns the underlying game.
@@ -65,29 +69,42 @@ func (d *Dynamics) Space() *game.Space { return d.space }
 // at profile x (Eq. 2), reusing dst when it has the right length. x is not
 // modified.
 func (d *Dynamics) UpdateProbs(i int, x []int, dst []float64) []float64 {
-	return d.updateProbsAt(i, append([]int(nil), x...), dst)
+	return d.updateProbsAt(i, append([]int(nil), x...), d.space.Encode(x), dst)
 }
 
-// updateProbsAt is the allocation-free core of UpdateProbs: it mutates
-// y[i] while sweeping player i's strategies and restores it before
-// returning, so hot paths (row generation) can pass their own scratch
-// profile instead of copying per call.
-func (d *Dynamics) updateProbsAt(i int, y []int, dst []float64) []float64 {
-	m := d.g.Strategies(i)
+// updateProbsAt is the allocation-free core of UpdateProbs for the
+// profile y with index idx. On a table game it reads player i's utilities
+// at idx + (v − y_i)·Stride(i); otherwise it mutates y[i] while sweeping
+// player i's strategies and restores it before returning, so hot paths
+// (row generation) can pass their own scratch profile instead of copying
+// per call. Both read the same utilities, so the row is the same either
+// way.
+func (d *Dynamics) updateProbsAt(i int, y []int, idx int, dst []float64) []float64 {
+	m := d.space.Strategies(i)
 	if len(dst) != m {
 		dst = make([]float64, m)
 	}
-	orig := y[i]
+	if d.tab != nil {
+		stride := d.space.Stride(i)
+		at := idx - y[i]*stride
+		for v := range dst {
+			dst[v] = d.tab.UtilityIndexed(i, at)
+			at += stride
+		}
+	} else {
+		orig := y[i]
+		for v := range dst {
+			y[i] = v
+			dst[v] = d.g.Utility(i, y)
+		}
+		y[i] = orig
+	}
 	maxU := math.Inf(-1)
-	for v := 0; v < m; v++ {
-		y[i] = v
-		u := d.g.Utility(i, y)
-		dst[v] = u
+	for _, u := range dst {
 		if u > maxU {
 			maxU = u
 		}
 	}
-	y[i] = orig
 	total := 0.0
 	for v := 0; v < m; v++ {
 		dst[v] = math.Exp(d.beta * (dst[v] - maxU))
@@ -132,7 +149,7 @@ func (g *RowGen) AppendRow(idx int, row []markov.Entry) []markov.Entry {
 	d.space.Decode(idx, g.x)
 	self := 0.0
 	for i := 0; i < n; i++ {
-		probs := d.updateProbsAt(i, g.x, g.probs[i])
+		probs := d.updateProbsAt(i, g.x, idx, g.probs[i])
 		for v, p := range probs {
 			if v == g.x[i] {
 				self += p
@@ -245,10 +262,11 @@ func (d *Dynamics) OperatorPar(b Backend, par linalg.ParallelConfig) (linalg.Ope
 // GibbsPar returns the Gibbs measure π(x) ∝ exp(−β·Φ(x)) (Eq. 4) when the
 // game exposes an exact potential, computed with the minimum-potential
 // shift so large β cannot overflow. It errors for games without a
-// potential. Potential tabulation and exponentiation are element-wise
-// parallel; the minimum is an exact (order-independent) reduction and the
-// normalizing sum accumulates over fixed blocks, so the measure is
-// bit-identical for every worker count.
+// potential. A table game's Φ is read by profile index. Potential
+// tabulation and exponentiation are element-wise parallel; the minimum is
+// an exact (order-independent) reduction and the normalizing sum
+// accumulates over fixed blocks, so the measure is bit-identical for every
+// worker count.
 // The potential table checks out of par.Arena (nil = fresh); the returned
 // measure itself is always freshly allocated: it escapes into reports and
 // caches, so it must survive the arena's Reset.
@@ -265,8 +283,12 @@ func (d *Dynamics) GibbsPar(par linalg.ParallelConfig) ([]float64, error) {
 		x := make([]int, d.space.Players())
 		local := math.Inf(1)
 		for idx := lo; idx < hi; idx++ {
-			d.space.Decode(idx, x)
-			phi[idx] = p.Phi(x)
+			if d.tab != nil {
+				phi[idx] = d.tab.PhiIndexed(idx)
+			} else {
+				d.space.Decode(idx, x)
+				phi[idx] = p.Phi(x)
+			}
 			if phi[idx] < local {
 				local = phi[idx]
 			}

@@ -62,7 +62,7 @@ func (d *Dynamics) NewWalker(steps, walks int, par linalg.ParallelConfig) *Walke
 			sp.Decode(idx, x)
 			block := rows[idx*width : (idx+1)*width]
 			for i := 0; i < n; i++ {
-				d.updateProbsAt(i, x, block[w.off[i]:w.off[i+1]])
+				d.updateProbsAt(i, x, idx, block[w.off[i]:w.off[i+1]])
 			}
 		}
 	})
@@ -107,7 +107,7 @@ func (w *Walker) Walk(counts []int64, start []int, t int, r *rng.RNG, every int,
 			if rows != nil {
 				row = rows[idx*width+off[i] : idx*width+off[i+1]]
 			} else {
-				row = w.d.updateProbsAt(i, x, probs[i])
+				row = w.d.updateProbsAt(i, x, idx, probs[i])
 			}
 			v := r.Categorical(row)
 			idx += (v - x[i]) * strides[i]

@@ -2,8 +2,10 @@ package mixing
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"logitdyn/internal/game"
 	"logitdyn/internal/linalg"
 	"logitdyn/internal/logit"
 	"logitdyn/internal/markov"
@@ -194,3 +196,113 @@ func TestRelaxationSandwichBracketsExactMixing(t *testing.T) {
 		})
 	}
 }
+
+// TestTableRawParity pins the index-addressed scans: a materialized table
+// game reads every utility and potential value by profile index, the raw
+// game through Utility and Phi on decoded profiles. Every family of the
+// corpus, plus a two-block double well, must give the same CSR, Nash list,
+// dominant profile, welfare report, Gibbs π and potential stats, bit for
+// bit.
+func TestTableRawParity(t *testing.T) {
+	par := linalg.ParallelConfig{Workers: 2, MinRows: 1}
+	fams := append(parityFamilies[:len(parityFamilies):len(parityFamilies)], struct {
+		name string
+		s    spec.Spec
+	}{"doublewell-8192", spec.Spec{Game: "doublewell", N: 13, C: 4, Delta1: 1}})
+	games := map[string]game.Game{}
+	for _, fam := range fams {
+		games[fam.name] = parityDyn(t, fam.s).Game()
+	}
+	// Strategy m−1, not 0, is dominant here.
+	dd, _ := game.NewDominantDiagonal(3, 3)
+	games["dominant-reversed"] = reversed{dd}
+	for name, g := range games {
+		t.Run(name, func(t *testing.T) {
+			// Families that build tables already ("random", "dominant")
+			// are hidden behind a plain Game so the raw side reads through
+			// Utility and Phi too.
+			var plain game.Game = struct{ game.Game }{g}
+			if p, ok := game.AsPotential(g); ok {
+				plain = struct{ game.Potential }{p}
+			}
+			raw, err := logit.New(plain, 0.8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab, err := logit.New(game.Materialize(plain), 0.8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type scans struct {
+				csr      *linalg.CSR
+				nash     []int
+				dominant []int
+				welfare  *WelfareReport
+				pi       []float64
+				stats    *PotentialStats
+			}
+			run := func(d *logit.Dynamics) (s scans) {
+				g := d.Game()
+				s.csr = d.TransitionCSRPar(par)
+				s.nash = game.PureNashEquilibriaPar(g, 1e-12, par)
+				s.dominant, _ = game.DominantProfilePar(g, 1e-12, par)
+				pi, err := d.StationaryPar(par)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.welfare, err = WelfareFromNash(d, pi, s.nash, par); err != nil {
+					t.Fatal(err)
+				}
+				s.pi, _ = d.GibbsPar(par)
+				if p, ok := game.AsPotential(g); ok {
+					if s.stats, err = AnalyzePotentialPar(p, par); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return s
+			}
+			want, got := run(raw), run(tab)
+			if !slices.Equal(got.csr.RowPtr, want.csr.RowPtr) || !slices.Equal(got.csr.Col, want.csr.Col) || !sameBits(got.csr.Val, want.csr.Val) {
+				t.Error("CSR differs")
+			}
+			if !slices.Equal(got.nash, want.nash) {
+				t.Errorf("Nash list %v, raw %v", got.nash, want.nash)
+			}
+			if !slices.Equal(got.dominant, want.dominant) {
+				t.Errorf("dominant profile %v, raw %v", got.dominant, want.dominant)
+			}
+			gw, ww := got.welfare, want.welfare
+			if !sameBits([]float64{gw.Expected, gw.Optimum, gw.WorstNash}, []float64{ww.Expected, ww.Optimum, ww.WorstNash}) || !slices.Equal(gw.OptProfile, ww.OptProfile) {
+				t.Errorf("welfare %+v, raw %+v", *gw, *ww)
+			}
+			if !sameBits(got.pi, want.pi) {
+				t.Error("Gibbs π differs")
+			}
+			if (got.stats == nil) != (want.stats == nil) {
+				t.Fatalf("potential stats present %v, raw %v", got.stats != nil, want.stats != nil)
+			}
+			if gs, ws := got.stats, want.stats; gs != nil && (!sameBits(gs.Phi, ws.Phi) ||
+				!sameBits([]float64{gs.PhiMin, gs.PhiMax, gs.DeltaPhi, gs.SmallDeltaPhi, gs.Zeta}, []float64{ws.PhiMin, ws.PhiMax, ws.DeltaPhi, ws.SmallDeltaPhi, ws.Zeta})) {
+				t.Errorf("potential stats %+v, raw %+v", *gs, *ws)
+			}
+		})
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// reversed relabels every player's strategies v → m−1−v.
+type reversed struct{ game.Potential }
+
+func (r reversed) flip(x []int) []int {
+	y := make([]int, len(x))
+	for i, v := range x {
+		y[i] = r.Strategies(i) - 1 - v
+	}
+	return y
+}
+
+func (r reversed) Utility(i int, x []int) float64 { return r.Potential.Utility(i, r.flip(x)) }
+func (r reversed) Phi(x []int) float64            { return r.Potential.Phi(r.flip(x)) }

@@ -36,8 +36,9 @@ type PotentialStats struct {
 }
 
 // AnalyzePotentialPar tabulates Φ over the profile space and computes the
-// statistics. The profile space must be materializable. The Φ tabulation
-// and the Hamming-edge scan shard over profile ranges.
+// statistics. The profile space must be materializable; a table game's Φ
+// is read by profile index. The Φ tabulation and the Hamming-edge scan
+// shard over profile ranges.
 // Extremal statistics combine with exact (order-independent) min/max, so
 // every worker count produces the same values. The Φ table and the ζ
 // scan's temporaries check out of par.Arena (nil = fresh), so st.Phi is
@@ -48,11 +49,16 @@ func AnalyzePotentialPar(p game.Potential, par linalg.ParallelConfig) (*Potentia
 	sp := game.SpaceOf(p)
 	size := sp.Size()
 	phi := par.Arena.F64(size)
+	t, _ := p.(*game.TableGame)
 	par.For(size, func(lo, hi int) {
 		x := make([]int, sp.Players())
 		for idx := lo; idx < hi; idx++ {
-			sp.Decode(idx, x)
-			phi[idx] = p.Phi(x)
+			if t != nil {
+				phi[idx] = t.PhiIndexed(idx)
+			} else {
+				sp.Decode(idx, x)
+				phi[idx] = p.Phi(x)
+			}
 		}
 	})
 	return AnalyzePhiTablePar(sp, phi, par)

@@ -41,11 +41,9 @@ type WelfareReport struct {
 // StationaryWelfarePar computes the welfare report for the logit dynamics
 // of g at the dynamics' β under an explicit worker budget. The profile
 // space must be materializable. A caller that already holds the stationary
-// distribution passes it as pi; pi == nil computes it here. The
-// expected-welfare sum reduces over fixed blocks and the optimum scan
-// keeps the first maximizer in index order (blocks combine in block order,
-// strict improvement wins), so the report — including the tie break on
-// OptProfile — is bit-identical for every worker count.
+// distribution passes it as pi; pi == nil computes it here. It scans for
+// the pure Nash equilibria itself; a caller that holds them calls
+// WelfareFromNash instead.
 func StationaryWelfarePar(d *logit.Dynamics, pi []float64, par linalg.ParallelConfig) (*WelfareReport, error) {
 	if pi == nil {
 		var err error
@@ -54,12 +52,37 @@ func StationaryWelfarePar(d *logit.Dynamics, pi []float64, par linalg.ParallelCo
 			return nil, err
 		}
 	}
+	return WelfareFromNash(d, pi, game.PureNashEquilibriaPar(d.Game(), 1e-12, par), par)
+}
+
+// WelfareFromNash is StationaryWelfarePar for a caller that holds both
+// the stationary distribution pi and the pure Nash equilibria nash (by
+// profile index, as PureNashEquilibriaPar lists them). The
+// expected-welfare sum reduces over fixed blocks and the optimum scan
+// keeps the first maximizer in index order (blocks combine in block order,
+// strict improvement wins), so the report — including the tie break on
+// OptProfile — is bit-identical for every worker count. A table game is
+// read by profile index.
+func WelfareFromNash(d *logit.Dynamics, pi []float64, nash []int, par linalg.ParallelConfig) (*WelfareReport, error) {
 	g := d.Game()
+	tab, _ := g.(*game.TableGame)
 	sp := d.Space()
 	if sp.Size() != len(pi) {
 		return nil, errors.New("mixing: welfare size mismatch")
 	}
 	rep := &WelfareReport{WorstNash: math.NaN()}
+	// welfare returns SW of the profile with index idx, decoding it into
+	// x only when g is not a table.
+	welfare := func(idx int, x []int) float64 {
+		if tab == nil {
+			return SocialWelfare(g, sp.Decode(idx, x))
+		}
+		sw := 0.0
+		for i := 0; i < sp.Players(); i++ {
+			sw += tab.UtilityIndexed(i, idx)
+		}
+		return sw
+	}
 
 	type blockBest struct {
 		sw  float64
@@ -73,8 +96,7 @@ func StationaryWelfarePar(d *logit.Dynamics, pi []float64, par linalg.ParallelCo
 		b := blockBest{sw: math.Inf(-1), idx: -1}
 		s := 0.0
 		for idx := lo; idx < hi; idx++ {
-			sp.Decode(idx, x)
-			sw := SocialWelfare(g, x)
+			sw := welfare(idx, x)
 			s += pi[idx] * sw
 			if sw > b.sw {
 				b.sw = sw
@@ -99,9 +121,8 @@ func StationaryWelfarePar(d *logit.Dynamics, pi []float64, par linalg.ParallelCo
 	}
 
 	x := make([]int, sp.Players())
-	for _, idx := range game.PureNashEquilibriaPar(g, 1e-12, par) {
-		sp.Decode(idx, x)
-		sw := SocialWelfare(g, x)
+	for _, idx := range nash {
+		sw := welfare(idx, x)
 		if math.IsNaN(rep.WorstNash) || sw < rep.WorstNash {
 			rep.WorstNash = sw
 		}

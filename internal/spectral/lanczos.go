@@ -27,13 +27,13 @@ type SymOperator struct {
 	sqrtPi  []float64
 	scratch []float64
 	// par is the execution value for the element-wise scalings in Apply
-	// and the re-orthogonalization inside Lanczos. The worker budget never
-	// affects results: scalings are element-wise and the dot products
-	// reduce over fixed blocks (see linalg/parallel.go). par.Arena, when
-	// set, supplies the Lanczos workspace (basis block, iteration vectors);
-	// sweeps over same-shape points hand the same arena back in, so the
-	// Krylov basis is recycled instead of reallocated. Checkouts come back
-	// zeroed, so reuse never changes computed bits.
+	// and the worker team that runs each Lanczos step. The worker budget
+	// never affects results: scalings are element-wise and the dot
+	// products reduce over fixed blocks (see linalg/parallel.go).
+	// par.Arena, when set, supplies the Lanczos workspace (basis block,
+	// iteration vectors); sweeps over same-shape points hand the same arena
+	// back in, so the Krylov basis is recycled instead of reallocated.
+	// Checkouts come back zeroed, so reuse never changes computed bits.
 	par linalg.ParallelConfig
 }
 
@@ -65,9 +65,9 @@ func NewSymOperatorPar(p linalg.Operator, pi []float64, par linalg.ParallelConfi
 }
 
 // WithParallel sets the operator's execution value (the worker budget for
-// Apply's element-wise scalings and the Lanczos re-orthogonalization, the
-// arena for the Lanczos workspace) and returns it. The backend operator p
-// carries its own budget for the mat-vec itself.
+// Apply's element-wise scalings and the Lanczos worker team, the arena for
+// the Lanczos workspace) and returns it. The backend operator p carries its
+// own budget for the mat-vec itself.
 func (op *SymOperator) WithParallel(par linalg.ParallelConfig) *SymOperator {
 	op.par = par
 	return op
@@ -159,23 +159,35 @@ func ritzExtremes(alphas, betas []float64) (lo, hi float64, err error) {
 // values of the resulting tridiagonal matrix converge to A's extremal
 // eigenvalues on ψ1⊥ — exactly λ2 and λ_min of the chain.
 //
-// The re-orthogonalization sweep — one dot and one axpy per retained basis
-// vector per step, the dominant cost after the mat-vec on large chains —
-// runs on the operator's worker budget. Dots reduce over fixed blocks, so
-// every worker count produces the same iterates bit for bit.
+// Everything of a step but the backend's mat-vec and the serial norm runs
+// on one linalg.Team on the operator's worker budget, alive for the whole
+// call: Apply's two scalings, the α dot, the three-term update and the
+// re-orthogonalization sweep, which is the dominant cost after the mat-vec
+// on large chains. Each member keeps a fixed strip of whole ReduceBlock
+// blocks of w in its cache, and every dot is the sum of fixed-block
+// partials in block order, so every worker count produces the same
+// iterates bit for bit.
 func Lanczos(op *SymOperator, maxIter int, tol float64, r *rng.RNG) (*LanczosResult, error) {
+	res, _, _, err := lanczos(op, maxIter, tol, r)
+	return res, err
+}
+
+// lanczos is Lanczos that also returns the tridiagonal coefficients.
+func lanczos(op *SymOperator, maxIter int, tol float64, r *rng.RNG) (res *LanczosResult, alphas, betas []float64, err error) {
 	n := op.N()
 	par := op.par
 	if maxIter < 2 {
-		return nil, errors.New("spectral: Lanczos needs maxIter >= 2")
+		return nil, nil, nil, errors.New("spectral: Lanczos needs maxIter >= 2")
 	}
 	if maxIter > n-1 {
 		maxIter = n - 1
 	}
 	if maxIter < 1 {
 		// One-state chain: the restriction is empty; gap is maximal.
-		return &LanczosResult{Lambda2: 0, LambdaMin: 0, Iterations: 0, Converged: true}, nil
+		return &LanczosResult{Lambda2: 0, LambdaMin: 0, Iterations: 0, Converged: true}, nil, nil, nil
 	}
+	team := par.NewTeam(n)
+	defer team.Close()
 	// Every n-length vector of the iteration — ψ1, the start vector, the
 	// work vector and each retained basis vector — checks out of the
 	// operator's arena (fresh allocations when none is installed), so a
@@ -184,36 +196,71 @@ func Lanczos(op *SymOperator, maxIter int, tol float64, r *rng.RNG) (*LanczosRes
 	copy(psi1, op.sqrtPi)
 	normalize(psi1)
 
-	// Random start orthogonal to ψ1.
+	// Random start orthogonal to ψ1. orth is ψ1 followed by the basis.
 	v := par.Arena.F64(n)
 	for i := range v {
 		v[i] = r.Float64() - 0.5
 	}
-	orthogonalizePar(par, v, psi1)
+	orth := [][]float64{psi1}
+	team.Run(func(m *linalg.TeamMember) { m.Orthogonalize(v, orth) })
 	if linalg.Norm2(v) < 1e-12 {
-		return nil, errors.New("spectral: degenerate Lanczos start")
+		return nil, nil, nil, errors.New("spectral: degenerate Lanczos start")
 	}
 	normalize(v)
+	orth = append(orth, v)
 
-	basis := [][]float64{v}
-	var alphas, betas []float64
+	// The step's team jobs share these; the caller sets them between jobs.
+	w := par.Arena.F64(n)
+	sqrtPi, u := op.sqrtPi, op.scratch
+	var vk, prev, next []float64
+	var alpha, betaPrev, inv float64
+	// Before the mat-vec: v_k = w/β_{k−1} when the previous step left its
+	// residual in w, then Apply's first scaling u = v_k/sqrt(π).
+	toOperator := func(m *linalg.TeamMember) {
+		lo, hi := m.Range()
+		if next != nil {
+			for i := lo; i < hi; i++ {
+				next[i] = w[i] * inv
+			}
+		}
+		for i := lo; i < hi; i++ {
+			u[i] = vk[i] / sqrtPi[i]
+		}
+	}
+	// After the mat-vec: Apply's second scaling, α_k = w·v_k, then
+	// w ← w − α_k·v_k − β_{k−1}·v_{k−1} and full reorthogonalization.
+	fromOperator := func(m *linalg.TeamMember) {
+		lo, hi := m.Range()
+		for i := lo; i < hi; i++ {
+			w[i] *= sqrtPi[i]
+		}
+		a := m.Dot(w, vk)
+		for i := lo; i < hi; i++ {
+			w[i] += -a * vk[i]
+		}
+		if prev != nil {
+			for i := lo; i < hi; i++ {
+				w[i] += -betaPrev * prev[i]
+			}
+		}
+		m.Orthogonalize(w, orth)
+		if m.Leader() {
+			alpha = a
+		}
+	}
+
 	prevLo, prevHi := math.Inf(-1), math.Inf(1)
 	converged := false
-	w := par.Arena.F64(n)
 	for k := 0; k < maxIter; k++ {
-		vk := basis[len(basis)-1]
-		op.Apply(w, vk)
-		alpha := par.Dot(w, vk)
+		vk, prev = orth[len(orth)-1], nil
+		if len(orth) > 2 {
+			prev, betaPrev = orth[len(orth)-2], betas[len(betas)-1]
+		}
+		team.Run(toOperator)
+		next = nil
+		op.p.MatVec(w, u)
+		team.Run(fromOperator)
 		alphas = append(alphas, alpha)
-		// w ← w − α·v_k − β_{k−1}·v_{k−1}, then full reorthogonalization.
-		par.Axpy(-alpha, vk, w)
-		if len(basis) > 1 {
-			par.Axpy(-betas[len(betas)-1], basis[len(basis)-2], w)
-		}
-		orthogonalizePar(par, w, psi1)
-		for _, b := range basis {
-			orthogonalizePar(par, w, b)
-		}
 		beta := linalg.Norm2(w)
 		if beta < tol {
 			converged = true
@@ -222,7 +269,7 @@ func Lanczos(op *SymOperator, maxIter int, tol float64, r *rng.RNG) (*LanczosRes
 		if len(alphas)%ritzCheckEvery == 0 && len(alphas) >= 2*ritzCheckEvery {
 			lo, hi, err := ritzExtremes(alphas, betas)
 			if err != nil {
-				return nil, err
+				return nil, nil, nil, err
 			}
 			if math.Abs(lo-prevLo) < tol && math.Abs(hi-prevHi) < tol {
 				converged = true
@@ -231,10 +278,8 @@ func Lanczos(op *SymOperator, maxIter int, tol float64, r *rng.RNG) (*LanczosRes
 			prevLo, prevHi = lo, hi
 		}
 		betas = append(betas, beta)
-		next := par.Arena.F64(n)
-		copy(next, w)
-		linalg.Scale(1/beta, next)
-		basis = append(basis, next)
+		next, inv = par.Arena.F64(n), 1/beta
+		orth = append(orth, next)
 	}
 
 	// Ritz values of the tridiagonal (α, β) matrix.
@@ -244,16 +289,17 @@ func Lanczos(op *SymOperator, maxIter int, tol float64, r *rng.RNG) (*LanczosRes
 		// are its exact spectrum regardless of how the loop ended.
 		converged = true
 	}
-	lo, hi, err := ritzExtremes(alphas, betas[:k-1])
+	betas = betas[:k-1]
+	lo, hi, err := ritzExtremes(alphas, betas)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	return &LanczosResult{
 		Lambda2:    hi,
 		LambdaMin:  lo,
 		Iterations: k,
 		Converged:  converged,
-	}, nil
+	}, alphas, betas, nil
 }
 
 func normalize(v []float64) {
@@ -261,11 +307,4 @@ func normalize(v []float64) {
 	if n > 0 {
 		linalg.Scale(1/n, v)
 	}
-}
-
-// orthogonalizePar is the modified-Gram-Schmidt projection step on a worker
-// budget: the dot reduces over fixed blocks and the axpy is element-wise,
-// so the projection is bit-identical for every worker count.
-func orthogonalizePar(par linalg.ParallelConfig, v, against []float64) {
-	par.Axpy(-par.Dot(v, against), against, v)
 }
