@@ -29,7 +29,7 @@ func BenchmarkAblationMixingSpectral(b *testing.B) {
 	d, _ := logit.New(dw, 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := mixing.ExactMixingTimePar(d, 0.25, 1<<50, linalg.ParallelConfig{}); err != nil {
+		if _, err := mixing.ExactMixingTimePar(d, 0.25, 1<<50, nil, linalg.ParallelConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -40,7 +40,7 @@ func BenchmarkAblationMixingEvolution(b *testing.B) {
 	d, _ := logit.New(dw, 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := mixing.EvolutionMixingTimePar(d, 0.25, 1<<20, linalg.ParallelConfig{}); err != nil {
+		if _, err := mixing.EvolutionMixingTimePar(d, 0.25, 1<<20, nil, linalg.ParallelConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -49,25 +49,25 @@ func BenchmarkAblationMixingEvolution(b *testing.B) {
 // --- Ablation 2: sparse vs dense distribution evolution. Logit chains have
 // O(n) non-zeros per row out of |S| columns; sparse wins by ~|S|/n.
 
-func evolveSetup() (*markov.Sparse, *linalg.Dense, []float64) {
+func evolveSetup() (*linalg.CSR, *linalg.Dense, []float64) {
 	base, _ := game.NewCoordination2x2(2, 2, 0, 0)
 	g, _ := game.NewGraphical(graph.Ring(10), base)
 	d, _ := logit.New(g, 1)
-	s := d.TransitionSparsePar(linalg.ParallelConfig{})
-	src := make([]float64, s.N)
+	s := d.TransitionCSRPar(linalg.Serial)
+	src := make([]float64, s.NRows)
 	for i := range src {
-		src[i] = 1 / float64(s.N)
+		src[i] = 1 / float64(s.NRows)
 	}
 	return s, s.Dense(), src
 }
 
 func BenchmarkAblationEvolveSparse(b *testing.B) {
 	s, _, src := evolveSetup()
-	dst := make([]float64, s.N)
+	dst := make([]float64, s.NRows)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Evolve(dst, src)
+		s.MatVecTrans(dst, src)
 	}
 }
 

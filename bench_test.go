@@ -77,7 +77,7 @@ func BenchmarkPipelineTransitionMatrix(b *testing.B) {
 	d, _ := logit.New(g, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d.TransitionSparsePar(linalg.ParallelConfig{})
+		d.TransitionCSRPar(linalg.ParallelConfig{})
 	}
 }
 

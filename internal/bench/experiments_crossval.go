@@ -106,7 +106,7 @@ func deriveE14(cfg Config, res *Results) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		evo, err := mixing.EvolutionMixingTimePar(d, eps, 1<<22, linalg.ParallelConfig{})
+		evo, err := mixing.EvolutionMixingTimePar(d, eps, 1<<22, nil, linalg.ParallelConfig{})
 		if err != nil {
 			return nil, err
 		}

@@ -222,7 +222,15 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, opts Options) (*Report, error
 
 	if backend == logit.BackendDense {
 		endSpectral := obs.StartSpan(ctx, obs.StageSpectral)
-		if res, err := mixing.ExactMixingTimePar(a.dyn, opts.Eps, opts.MaxT, opts.Parallel); err == nil {
+		// The Gibbs measure, or a dense solve when the game has no
+		// potential; both the exact route and the evolution fallback
+		// reuse it.
+		pi, err = a.dyn.StationaryPar(opts.Parallel)
+		if err != nil {
+			endSpectral()
+			return nil, err
+		}
+		if res, err := mixing.ExactMixingTimePar(a.dyn, opts.Eps, opts.MaxT, pi, opts.Parallel); err == nil {
 			rep.MixingTimeExact = true
 			rep.SpectralConverged = true
 			rep.MixingTime = res.MixingTime
@@ -231,7 +239,6 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, opts Options) (*Report, error
 			rep.MinEigenvalue = res.MinEigenvalue
 			rep.SpectralLower = res.SpectralLower
 			rep.SpectralUpper = res.SpectralUpper
-			pi = res.Stationary
 		} else {
 			// Non-reversible chains (non-potential games) have no symmetric
 			// spectral decomposition; measure by brute-force evolution instead
@@ -240,7 +247,7 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, opts Options) (*Report, error
 			if maxEvo > 1<<20 {
 				maxEvo = 1 << 20
 			}
-			tm, evoErr := mixing.EvolutionMixingTimePar(a.dyn, opts.Eps, int(maxEvo), opts.Parallel)
+			tm, evoErr := mixing.EvolutionMixingTimePar(a.dyn, opts.Eps, int(maxEvo), pi, opts.Parallel)
 			if evoErr != nil {
 				endSpectral()
 				return nil, fmt.Errorf("core: spectral route failed (%v) and evolution fallback failed (%v)", err, evoErr)
@@ -288,14 +295,6 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, opts Options) (*Report, error
 		rep.SpectralConverged = res.Converged
 	}
 
-	if pi == nil {
-		endStationary := obs.StartSpan(ctx, obs.StageStationary)
-		pi, err = a.dyn.StationaryPar(opts.Parallel)
-		endStationary()
-		if err != nil {
-			return nil, err
-		}
-	}
 	// Above the dense threshold the full vector payloads would dominate
 	// every response; the scalar summaries carry the analysis.
 	large := size > opts.MaxExactStates
@@ -406,7 +405,7 @@ func (a *Analyzer) MixingTime(eps float64, maxT int64) (int64, error) {
 	if maxT == 0 {
 		maxT = 1 << 62
 	}
-	res, err := mixing.ExactMixingTimePar(a.dyn, eps, maxT, linalg.ParallelConfig{})
+	res, err := mixing.ExactMixingTimePar(a.dyn, eps, maxT, nil, linalg.ParallelConfig{})
 	if err != nil {
 		return 0, err
 	}

@@ -210,32 +210,62 @@ func TestAnalyzeReconstructsUndeclaredPotential(t *testing.T) {
 	}
 }
 
+// matchingPennies is the two-player zero-sum game with no pure Nash
+// equilibrium and no potential: its logit chain is not reversible, so the
+// dense route measures t_mix by the evolution fallback.
+func matchingPennies() *game.TableGame {
+	g := game.NewTableGame([]int{2, 2})
+	for idx, u := range []float64{1, -1, -1, 1} {
+		g.SetUtilityIndexed(0, idx, u)
+		g.SetUtilityIndexed(1, idx, -u)
+	}
+	return g
+}
+
 func TestDenseRouteComputesStationaryOnce(t *testing.T) {
-	// A potential game stripped of its Φ table has no closed-form Gibbs
-	// measure, so π comes from a dense solve. The exact route must reuse
-	// the π its decomposition used instead of solving again: the trace has
-	// no stationary stage, and the report carries that π.
-	a, err := NewAnalyzer(bareDoubleWell(t), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := obs.New(4)
-	tr := o.StartTrace("analyze")
-	rep, err := a.AnalyzeCtx(obs.With(context.Background(), o, tr), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range tr.Doc(true).Spans {
-		if s.Stage == obs.StageStationary {
-			t.Fatalf("dense exact route recomputed π: spans %+v", tr.Doc(true).Spans)
-		}
-	}
-	res, err := mixing.ExactMixingTimePar(a.dyn, mixing.DefaultEps, 1<<62, linalg.ParallelConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(rep.Stationary, res.Stationary) {
-		t.Fatalf("report π %v differs from the decomposition's %v", rep.Stationary, res.Stationary)
+	// Without a closed-form Gibbs measure π comes from a dense solve: a
+	// potential game stripped of its Φ table, and matching pennies, which
+	// has no potential at all. The dense route solves once and reuses that
+	// π for the exact route or the evolution fallback and for the report:
+	// the trace has no stationary stage, and the report carries the same
+	// π and t_mix as the standalone calls.
+	for name, g := range map[string]*game.TableGame{
+		"bare-doublewell":  bareDoubleWell(t),
+		"matching-pennies": matchingPennies(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			a, err := NewAnalyzer(g, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := obs.New(4)
+			tr := o.StartTrace("analyze")
+			rep, err := a.AnalyzeCtx(obs.With(context.Background(), o, tr), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range tr.Doc(true).Spans {
+				if s.Stage == obs.StageStationary {
+					t.Fatalf("dense route recomputed π: spans %+v", tr.Doc(true).Spans)
+				}
+			}
+			pi, err := a.dyn.StationaryPar(linalg.ParallelConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(rep.Stationary, pi) {
+				t.Fatalf("report π %v differs from the stationary solve's %v", rep.Stationary, pi)
+			}
+			var want int64
+			if res, err := mixing.ExactMixingTimePar(a.dyn, mixing.DefaultEps, 1<<62, nil, linalg.ParallelConfig{}); err == nil {
+				want = res.MixingTime
+			} else if want, err = mixing.EvolutionMixingTimePar(a.dyn, mixing.DefaultEps, 1<<20, nil, linalg.ParallelConfig{}); err != nil {
+				t.Fatal(err)
+			}
+			if rep.MixingTime != want {
+				t.Fatalf("report t_mix %d, standalone route %d", rep.MixingTime, want)
+			}
+		})
 	}
 }
 

@@ -166,8 +166,3 @@ func (m *Dense) String() string {
 	}
 	return s
 }
-
-// ParallelFor is the chunked parallel loop under the default worker budget
-// (GOMAXPROCS, default inline threshold), for data-parallel sweeps whose
-// per-index outputs are independent.
-func ParallelFor(n int, body func(lo, hi int)) { ParallelConfig{}.For(n, body) }

@@ -169,21 +169,3 @@ func TestCloneDeep(t *testing.T) {
 		t.Fatal("Clone shares data")
 	}
 }
-
-func TestParallelForCoversRange(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 100, 1000} {
-		seen := make([]int32, n)
-		var hits [1]int32
-		_ = hits
-		ParallelFor(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				seen[i]++
-			}
-		})
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, c)
-			}
-		}
-	}
-}

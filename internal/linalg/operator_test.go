@@ -94,4 +94,7 @@ func TestNewCSRValidation(t *testing.T) {
 	mustPanic("bad rowptr len", func() { NewCSR(2, 2, []int{0, 1}, []int{0}, []float64{1}) })
 	mustPanic("col out of range", func() { NewCSR(1, 2, []int{0, 1}, []int{2}, []float64{1}) })
 	mustPanic("decreasing rowptr", func() { NewCSR(2, 2, []int{0, 1, 0}, []int{0}, []float64{1}) })
+	c := NewCSR(2, 2, []int{0, 1, 2}, []int{0, 1}, []float64{1, 1})
+	mustPanic("MatVec size mismatch", func() { c.MatVec(make([]float64, 2), make([]float64, 3)) })
+	mustPanic("MatVecTrans size mismatch", func() { c.MatVecTrans(make([]float64, 3), make([]float64, 2)) })
 }

@@ -116,11 +116,12 @@ func (d *Dynamics) updateProbsAt(i int, y []int, idx int, dst []float64) []float
 	return dst
 }
 
-// RowGen generates sparse transition rows of the Eq. (3) chain one state at
-// a time, owning the per-row scratch. It is the single source of transition
-// rows for every backend: TransitionSparse tabulates rows through it and the
-// matrix-free operator calls it on the fly. A RowGen is not safe for
-// concurrent use; give each goroutine its own.
+// RowGen generates transition rows of the Eq. (3) chain one state at a
+// time, owning the per-row scratch. It is the single row kernel behind
+// every backend: TransitionCSRPar writes its rows into the CSR arrays (and
+// the dense matrix is that CSR expanded), and the matrix-free operator
+// calls it on the fly. A RowGen is not safe for concurrent use; give each
+// goroutine its own.
 type RowGen struct {
 	d *Dynamics
 	x []int
@@ -139,81 +140,71 @@ func (d *Dynamics) NewRowGen() *RowGen {
 	return &RowGen{d: d, x: make([]int, n), probs: probs}
 }
 
-// AppendRow appends the sparse transition row of the profile with the given
-// index to row and returns it: one entry per improving (player, strategy)
-// deviation plus the diagonal self-loop accumulating Σ_i σ_i(x_i | x)/n.
-// It performs no allocations beyond growing row.
-func (g *RowGen) AppendRow(idx int, row []markov.Entry) []markov.Entry {
+// rowWidth is the most entries a transition row can hold,
+// W = 1 + Σᵢ(|Sᵢ|−1): one per (player, other strategy) plus the self-loop.
+func (d *Dynamics) rowWidth() int {
+	w := 1
+	for i := 0; i < d.space.Players(); i++ {
+		w += d.space.Strategies(i) - 1
+	}
+	return w
+}
+
+// Row writes the transition row of the profile with the given index into
+// col and val (each at least rowWidth long) and returns its entry count:
+// one entry per (player, strategy) deviation with non-zero probability, in
+// player then strategy order, then the diagonal self-loop accumulating
+// Σ_i σ_i(x_i | x)/n. A deviation of player i to v targets
+// idx + (v − x_i)·Stride(i). It performs no allocations.
+func (g *RowGen) Row(idx int, col []int, val []float64) int {
 	d := g.d
 	n := d.space.Players()
 	d.space.Decode(idx, g.x)
 	self := 0.0
+	k := 0
 	for i := 0; i < n; i++ {
 		probs := d.updateProbsAt(i, g.x, idx, g.probs[i])
+		xi, stride := g.x[i], d.space.Stride(i)
 		for v, p := range probs {
-			if v == g.x[i] {
+			if v == xi {
 				self += p
 				continue
 			}
 			if p == 0 {
 				continue
 			}
-			row = append(row, markov.Entry{To: d.space.WithDigit(idx, i, v), P: p / float64(n)})
+			col[k] = idx + (v-xi)*stride
+			val[k] = p / float64(n)
+			k++
 		}
 	}
-	return append(row, markov.Entry{To: idx, P: self / float64(n)})
+	col[k] = idx
+	val[k] = self / float64(n)
+	return k + 1
 }
 
-// TransitionSparsePar builds the Eq. (3) transition matrix in sparse row
-// form: each state has one entry per (player, strategy) pair, with the
-// diagonal accumulating the self-loop mass Σ_i σ_i(x_i | x)/n. This is the
-// primary representation; the dense and CSR forms are derived from it.
-// The worker budget never changes the rows, only how many goroutines fill
-// them.
-func (d *Dynamics) TransitionSparsePar(par linalg.ParallelConfig) *markov.Sparse {
-	size := d.space.Size()
-	s := markov.NewSparse(size)
-	par.For(size, func(lo, hi int) {
-		gen := d.NewRowGen()
-		for idx := lo; idx < hi; idx++ {
-			s.Rows[idx] = gen.AppendRow(idx, make([]markov.Entry, 0, 1+d.space.Players()))
-		}
-	})
-	return s
-}
-
-// TransitionCSRPar builds the transition matrix in compressed-sparse-row
-// form, the representation the sparse analysis backend iterates, using the
+// TransitionCSRPar builds the Eq. (3) transition matrix in
+// compressed-sparse-row form, the one sparse form of the chain, using the
 // given worker budget for both construction and the returned matrix's
-// mat-vecs. Rows are written directly into width-padded CSR arrays in
-// parallel (every row has at most W = 1 + Σᵢ(|Sᵢ|−1) entries), so no
-// intermediate row-list — with its one slice header per state — is ever
-// materialized; a compaction pass runs only when some update probability
-// underflowed to zero. The CSR arrays check out of par.Arena (nil = fresh):
-// the returned matrix then references arena memory, so it is owned by the
-// analysis that owns the arena and must not outlive it — the operator never
-// escapes into a report, which is what makes this safe.
+// mat-vecs. RowGen writes each row straight into width-padded CSR arrays
+// in parallel (every row has at most rowWidth entries); a compaction pass
+// runs only when some update probability underflowed to zero. The CSR
+// arrays check out of par.Arena (nil = fresh): the returned matrix then
+// references arena memory, so it is owned by the analysis that owns the
+// arena and must not outlive it — the operator never escapes into a
+// report, which is what makes this safe.
 func (d *Dynamics) TransitionCSRPar(par linalg.ParallelConfig) *linalg.CSR {
 	a := par.Arena
 	size := d.space.Size()
-	w := 1
-	for i := 0; i < d.space.Players(); i++ {
-		w += d.space.Strategies(i) - 1
-	}
+	w := d.rowWidth()
 	col := a.Ints(size * w)
 	val := a.F64(size * w)
 	counts := a.Ints(size)
 	par.For(size, func(lo, hi int) {
 		gen := d.NewRowGen()
-		row := make([]markov.Entry, 0, w)
 		for idx := lo; idx < hi; idx++ {
-			row = gen.AppendRow(idx, row[:0])
 			base := idx * w
-			for j, e := range row {
-				col[base+j] = e.To
-				val[base+j] = e.P
-			}
-			counts[idx] = len(row)
+			counts[idx] = gen.Row(idx, col[base:base+w], val[base:base+w])
 		}
 	})
 	rowPtr := a.Ints(size + 1)
@@ -234,10 +225,9 @@ func (d *Dynamics) TransitionCSRPar(par linalg.ParallelConfig) *linalg.CSR {
 }
 
 // TransitionDensePar materializes the Eq. (3) transition matrix densely —
-// a view over the sparse-first construction, for the exact
-// eigendecomposition path.
+// the CSR form expanded, for the exact eigendecomposition path.
 func (d *Dynamics) TransitionDensePar(par linalg.ParallelConfig) *linalg.Dense {
-	return d.TransitionSparsePar(par).Dense()
+	return d.TransitionCSRPar(par).Dense()
 }
 
 // OperatorPar returns the transition matrix as a linalg.Operator in the

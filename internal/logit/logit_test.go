@@ -100,9 +100,16 @@ func TestTransitionIsStochastic(t *testing.T) {
 	for name, g := range games {
 		for _, beta := range []float64{0, 0.5, 2, 50} {
 			d := mustDyn(t, g, beta)
-			s := d.TransitionSparsePar(linalg.ParallelConfig{})
-			if err := s.CheckStochastic(1e-12); err != nil {
-				t.Errorf("%s β=%g: %v", name, beta, err)
+			p := d.TransitionCSRPar(linalg.ParallelConfig{})
+			for x, sum := range linalg.RowSums(p) {
+				if math.Abs(sum-1) > 1e-12 {
+					t.Errorf("%s β=%g: row %d sums to %g", name, beta, x, sum)
+				}
+			}
+			for _, v := range p.Val {
+				if v < 0 {
+					t.Errorf("%s β=%g: negative probability %g", name, beta, v)
+				}
 			}
 		}
 	}
@@ -284,7 +291,7 @@ func BenchmarkTransitionSparseRing8(b *testing.B) {
 	d, _ := New(g, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d.TransitionSparsePar(linalg.ParallelConfig{})
+		d.TransitionCSRPar(linalg.ParallelConfig{})
 	}
 }
 

@@ -1,9 +1,6 @@
 package logit
 
-import (
-	"logitdyn/internal/linalg"
-	"logitdyn/internal/markov"
-)
+import "logitdyn/internal/linalg"
 
 // MatFree is the matrix-free transition operator: no part of the Eq. (3)
 // matrix is ever tabulated. Every mat-vec regenerates each row from the
@@ -39,20 +36,20 @@ func (m *MatFree) WithParallel(par linalg.ParallelConfig) *MatFree {
 func (m *MatFree) Dims() (rows, cols int) { return m.n, m.n }
 
 // MatVec computes dst = P·x, regenerating rows on the fly in parallel row
-// chunks (each worker owns a RowGen and a row buffer).
+// chunks (each worker owns a RowGen and one row's col/val buffers).
 func (m *MatFree) MatVec(dst, x []float64) {
 	if len(x) != m.n || len(dst) != m.n {
 		panic("logit: MatFree.MatVec size mismatch")
 	}
-	players := m.d.space.Players()
+	w := m.d.rowWidth()
 	m.par.For(m.n, func(lo, hi int) {
 		gen := m.d.NewRowGen()
-		row := make([]markov.Entry, 0, 1+players)
+		col, val := make([]int, w), make([]float64, w)
 		for idx := lo; idx < hi; idx++ {
-			row = gen.AppendRow(idx, row[:0])
+			k := gen.Row(idx, col, val)
 			acc := 0.0
-			for _, e := range row {
-				acc += e.P * x[e.To]
+			for j := 0; j < k; j++ {
+				acc += val[j] * x[col[j]]
 			}
 			dst[idx] = acc
 		}
@@ -68,18 +65,18 @@ func (m *MatFree) MatVecTrans(dst, x []float64) {
 	if len(x) != m.n || len(dst) != m.n {
 		panic("logit: MatFree.MatVecTrans size mismatch")
 	}
-	players := m.d.space.Players()
+	w := m.d.rowWidth()
 	m.par.Scatter(m.n, m.n, dst, func(lo, hi int, acc []float64) {
 		gen := m.d.NewRowGen()
-		row := make([]markov.Entry, 0, 1+players)
+		col, val := make([]int, w), make([]float64, w)
 		for idx := lo; idx < hi; idx++ {
 			mass := x[idx]
 			if mass == 0 {
 				continue
 			}
-			row = gen.AppendRow(idx, row[:0])
-			for _, e := range row {
-				acc[e.To] += mass * e.P
+			k := gen.Row(idx, col, val)
+			for j := 0; j < k; j++ {
+				acc[col[j]] += mass * val[j]
 			}
 		}
 	})

@@ -80,7 +80,7 @@ func (d *Dynamics) ParallelTransitionDense() *linalg.Dense {
 		}
 	}
 	p := linalg.NewDense(size, size)
-	linalg.ParallelFor(size, func(lo, hi int) {
+	linalg.ParallelConfig{}.For(size, func(lo, hi int) {
 		y := make([]int, n)
 		for from := lo; from < hi; from++ {
 			row := p.Row(from)

@@ -76,9 +76,9 @@ func StationaryPower(p *linalg.Dense, tol float64, maxIter int) ([]float64, erro
 }
 
 // StationaryPowerOp runs the same power iteration against any transition
-// operator — dense, CSR, the row-list Sparse, or the matrix-free logit
-// operator — using only MatVecTrans (μ ← μP). The caller is responsible for
-// the operator being row-stochastic.
+// operator — dense, CSR or the matrix-free logit operator — using only
+// MatVecTrans (μ ← μP). The caller is responsible for the operator being
+// row-stochastic.
 func StationaryPowerOp(p linalg.Operator, tol float64, maxIter int) ([]float64, error) {
 	n, cols := p.Dims()
 	if n != cols {

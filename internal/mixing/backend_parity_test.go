@@ -63,7 +63,6 @@ func parityOperators(d *logit.Dynamics) map[string]linalg.Operator {
 	return map[string]linalg.Operator{
 		"dense":   d.TransitionDensePar(linalg.ParallelConfig{}),
 		"sparse":  d.TransitionCSRPar(linalg.ParallelConfig{}),
-		"rowlist": d.TransitionSparsePar(linalg.ParallelConfig{}),
 		"matfree": d.MatFree(),
 	}
 }
@@ -167,7 +166,7 @@ func TestRelaxationSandwichBracketsExactMixing(t *testing.T) {
 	for _, fam := range parityFamilies {
 		t.Run(fam.name, func(t *testing.T) {
 			d := parityDyn(t, fam.s)
-			exact, err := ExactMixingTimePar(d, DefaultEps, 1<<40, linalg.ParallelConfig{})
+			exact, err := ExactMixingTimePar(d, DefaultEps, 1<<40, nil, linalg.ParallelConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -38,9 +38,6 @@ type Result struct {
 	// the iteration cap ran out before the Ritz values stabilized, in
 	// which case λ* (and the sandwich derived from it) are lower bounds.
 	Converged bool
-	// Stationary is the stationary distribution the dense decomposition
-	// used, so callers need not compute it again; nil on the Lanczos route.
-	Stationary []float64
 }
 
 // ExactMixingTimePar decomposes the logit chain of d and returns the exact
@@ -50,11 +47,15 @@ type Result struct {
 // most par.Workers goroutines, so a serving layer's token pool governs the
 // dense exact route the same way it governs the Lanczos route. The budget
 // never changes any reported number — the matrix rows are filled at fixed
-// positions and the worst-start TV distance is an exact max-merge.
-func ExactMixingTimePar(d *logit.Dynamics, eps float64, maxT int64, par linalg.ParallelConfig) (*Result, error) {
-	pi, err := d.StationaryPar(par)
-	if err != nil {
-		return nil, err
+// positions and the worst-start TV distance is an exact max-merge. A
+// caller that already holds the stationary distribution passes it as pi;
+// pi == nil computes it here.
+func ExactMixingTimePar(d *logit.Dynamics, eps float64, maxT int64, pi []float64, par linalg.ParallelConfig) (*Result, error) {
+	if pi == nil {
+		var err error
+		if pi, err = d.StationaryPar(par); err != nil {
+			return nil, err
+		}
 	}
 	dec, err := spectral.Decompose(d.TransitionDensePar(par), pi)
 	if err != nil {
@@ -77,7 +78,6 @@ func ExactMixingTimePar(d *logit.Dynamics, eps float64, maxT int64, par linalg.P
 		MinEigenvalue:  dec.MinEigenvalue(),
 		SpectralLower:  lo,
 		SpectralUpper:  hi,
-		Stationary:     pi,
 	}, nil
 }
 
@@ -163,20 +163,23 @@ func RelaxationSandwichPar(d *logit.Dynamics, backend logit.Backend, eps float64
 	}, nil
 }
 
-// EvolutionMixingTimePar measures t_mix(eps) by brute-force sparse
-// evolution of a point mass from every starting state, advancing all
+// EvolutionMixingTimePar measures t_mix(eps) by brute-force evolution of
+// a point mass from every starting state on the CSR chain, advancing all
 // states in lockstep until the worst TV distance drops to eps. It is
 // O(maxT·|S|·nnz) and exists as an independent cross-check of the spectral
-// route on small chains. The worker budget drives the per-start evolution
-// sweep (results are worker-invariant: each start's distribution evolves
-// in its own fixed slot).
-func EvolutionMixingTimePar(d *logit.Dynamics, eps float64, maxT int, par linalg.ParallelConfig) (int64, error) {
-	pi, err := d.StationaryPar(par)
-	if err != nil {
-		return 0, err
+// route on small chains. A caller that already holds the stationary
+// distribution passes it as pi; pi == nil computes it here. The worker
+// budget drives the per-start evolution sweep; each start's distribution
+// evolves serially in its own fixed slot, so results are worker-invariant.
+func EvolutionMixingTimePar(d *logit.Dynamics, eps float64, maxT int, pi []float64, par linalg.ParallelConfig) (int64, error) {
+	if pi == nil {
+		var err error
+		if pi, err = d.StationaryPar(par); err != nil {
+			return 0, err
+		}
 	}
-	s := d.TransitionSparsePar(par)
-	size := s.N
+	p := d.TransitionCSRPar(par).WithParallel(linalg.Serial)
+	size := p.NRows
 	// One distribution per starting state.
 	dists := make([][]float64, size)
 	next := make([][]float64, size)
@@ -201,7 +204,7 @@ func EvolutionMixingTimePar(d *logit.Dynamics, eps float64, maxT int, par linalg
 	for t := 1; t <= maxT; t++ {
 		par.For(size, func(lo, hi int) {
 			for x := lo; x < hi; x++ {
-				s.Evolve(next[x], dists[x])
+				p.MatVecTrans(next[x], dists[x])
 			}
 		})
 		dists, next = next, dists

@@ -8,6 +8,9 @@ import (
 	"logitdyn/internal/graph"
 	"logitdyn/internal/linalg"
 	"logitdyn/internal/logit"
+	"logitdyn/internal/markov"
+	"logitdyn/internal/rng"
+	"logitdyn/internal/spectral"
 )
 
 func coordDyn(t *testing.T, beta float64) *logit.Dynamics {
@@ -27,11 +30,11 @@ func TestExactMixingTimeAgreesWithEvolution(t *testing.T) {
 	// The two independent measurement routes must agree exactly.
 	for _, beta := range []float64{0, 0.5, 1.2} {
 		d := coordDyn(t, beta)
-		spec, err := ExactMixingTimePar(d, DefaultEps, 1<<40, linalg.ParallelConfig{})
+		spec, err := ExactMixingTimePar(d, DefaultEps, 1<<40, nil, linalg.ParallelConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		evo, err := EvolutionMixingTimePar(d, DefaultEps, 100000, linalg.ParallelConfig{})
+		evo, err := EvolutionMixingTimePar(d, DefaultEps, 100000, nil, linalg.ParallelConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,11 +51,11 @@ func TestExactMixingTimeRingGame(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, _ := logit.New(g, 0.5)
-	spec, err := ExactMixingTimePar(d, DefaultEps, 1<<40, linalg.ParallelConfig{})
+	spec, err := ExactMixingTimePar(d, DefaultEps, 1<<40, nil, linalg.ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	evo, err := EvolutionMixingTimePar(d, DefaultEps, 100000, linalg.ParallelConfig{})
+	evo, err := EvolutionMixingTimePar(d, DefaultEps, 100000, nil, linalg.ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +69,7 @@ func TestMixingTimeIncreasesWithBeta(t *testing.T) {
 	prev := int64(0)
 	for _, beta := range []float64{0, 1, 2, 3} {
 		d := coordDyn(t, beta)
-		res, err := ExactMixingTimePar(d, DefaultEps, 1<<50, linalg.ParallelConfig{})
+		res, err := ExactMixingTimePar(d, DefaultEps, 1<<50, nil, linalg.ParallelConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +89,7 @@ func TestMeasuredMixingUnderTheorem34(t *testing.T) {
 	}
 	for _, beta := range []float64{0, 0.5, 1, 2} {
 		d := coordDyn(t, beta)
-		res, err := ExactMixingTimePar(d, DefaultEps, 1<<50, linalg.ParallelConfig{})
+		res, err := ExactMixingTimePar(d, DefaultEps, 1<<50, nil, linalg.ParallelConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +226,7 @@ func TestBoundFunctionsSanity(t *testing.T) {
 
 func TestEvolutionMixingTimeTimeout(t *testing.T) {
 	d := coordDyn(t, 3)
-	if _, err := EvolutionMixingTimePar(d, DefaultEps, 2, linalg.ParallelConfig{}); err == nil {
+	if _, err := EvolutionMixingTimePar(d, DefaultEps, 2, nil, linalg.ParallelConfig{}); err == nil {
 		t.Fatal("tiny maxT must error")
 	}
 }
@@ -236,11 +239,122 @@ func TestEvolutionMixingTimeZeroForTrivial(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, _ := logit.New(g, 0)
-	tm, err := EvolutionMixingTimePar(d, DefaultEps, 10, linalg.ParallelConfig{})
+	tm, err := EvolutionMixingTimePar(d, DefaultEps, 10, nil, linalg.ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tm > 1 {
 		t.Fatalf("trivial chain t_mix = %d", tm)
+	}
+}
+
+// referenceEvolutionMixingTime measures t_mix by evolution on row lists:
+// rows built entry by entry from UpdateProbs and Space.WithDigit, each
+// start's distribution stepped by a serial scatter, the worst TV distance
+// taken after every lockstep step.
+func referenceEvolutionMixingTime(t *testing.T, d *logit.Dynamics, eps float64, maxT int) int64 {
+	t.Helper()
+	pi, err := d.StationaryPar(linalg.Serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type entry struct {
+		to int
+		p  float64
+	}
+	sp := d.Space()
+	n, size := sp.Players(), sp.Size()
+	rows := make([][]entry, size)
+	x := make([]int, n)
+	for idx := range rows {
+		sp.Decode(idx, x)
+		self := 0.0
+		for i := 0; i < n; i++ {
+			for v, p := range d.UpdateProbs(i, x, nil) {
+				if v == x[i] {
+					self += p
+				} else if p != 0 {
+					rows[idx] = append(rows[idx], entry{sp.WithDigit(idx, i, v), p / float64(n)})
+				}
+			}
+		}
+		rows[idx] = append(rows[idx], entry{idx, self / float64(n)})
+	}
+	dists := make([][]float64, size)
+	for s := range dists {
+		dists[s] = make([]float64, size)
+		dists[s][s] = 1
+	}
+	next := make([]float64, size)
+	for step := 0; step <= maxT; step++ {
+		worst := 0.0
+		for _, mu := range dists {
+			worst = max(worst, markov.TVDistance(mu, pi))
+		}
+		if worst <= eps+spectral.TVTol {
+			return int64(step)
+		}
+		for s, mu := range dists {
+			clear(next)
+			for i, mass := range mu {
+				if mass == 0 {
+					continue
+				}
+				for _, e := range rows[i] {
+					next[e.to] += mass * e.p
+				}
+			}
+			dists[s], next = next, mu
+		}
+	}
+	t.Fatalf("reference evolution did not mix within %d steps", maxT)
+	return 0
+}
+
+// matchingPennies is the two-player zero-sum game with no potential.
+func matchingPennies() *game.TableGame {
+	g := game.NewTableGame([]int{2, 2})
+	for idx, u := range []float64{1, -1, -1, 1} {
+		g.SetUtilityIndexed(0, idx, u)
+		g.SetUtilityIndexed(1, idx, -u)
+	}
+	return g
+}
+
+func TestEvolutionMatchesRowListReference(t *testing.T) {
+	// Non-reversible chains are where the dense route falls back to
+	// evolution. The CSR route must report the row-list reference's t_mix
+	// at every budget, whether π is passed in or solved here.
+	random := game.NewTableGame([]int{2, 3, 2, 2, 3, 2})
+	r := rng.New(5)
+	for i := 0; i < random.Players(); i++ {
+		for idx := 0; idx < random.Space().Size(); idx++ {
+			random.SetUtilityIndexed(i, idx, r.NormFloat64())
+		}
+	}
+	for name, g := range map[string]*game.TableGame{"matching-pennies": matchingPennies(), "random-144": random} {
+		for _, beta := range []float64{0, 1, 2.5} {
+			d, err := logit.New(g, beta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceEvolutionMixingTime(t, d, DefaultEps, 1<<16)
+			pi, err := d.StationaryPar(linalg.Serial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				par := linalg.ParallelConfig{Workers: workers, MinRows: 1}
+				for _, given := range [][]float64{nil, pi} {
+					got, err := EvolutionMixingTimePar(d, DefaultEps, 1<<16, given, par)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("%s β=%g workers=%d: evolution t_mix %d, row-list reference %d", name, beta, workers, got, want)
+					}
+				}
+			}
+		}
 	}
 }

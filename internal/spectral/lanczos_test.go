@@ -10,7 +10,6 @@ import (
 	"logitdyn/internal/graph"
 	"logitdyn/internal/linalg"
 	"logitdyn/internal/logit"
-	"logitdyn/internal/markov"
 	"logitdyn/internal/rng"
 )
 
@@ -24,7 +23,7 @@ func lanczosForGame(t *testing.T, g game.Game, beta float64, iters int) (*Lanczo
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := NewSymOperator(d.TransitionSparsePar(linalg.ParallelConfig{}), pi)
+	op, err := NewSymOperator(d.TransitionCSRPar(linalg.ParallelConfig{}), pi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +64,7 @@ func TestLanczosOperatorFixesTopVector(t *testing.T) {
 	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
 	d, _ := logit.New(base, 1)
 	pi, _ := d.StationaryPar(linalg.ParallelConfig{})
-	op, err := NewSymOperator(d.TransitionSparsePar(linalg.ParallelConfig{}), pi)
+	op, err := NewSymOperator(d.TransitionCSRPar(linalg.ParallelConfig{}), pi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +132,8 @@ func TestLanczosEarlyTermination(t *testing.T) {
 	}
 }
 
-func sparseTwoState(a, b float64) *markov.Sparse {
-	s := markov.NewSparse(2)
-	s.Rows[0] = []markov.Entry{{To: 0, P: 1 - a}, {To: 1, P: a}}
-	s.Rows[1] = []markov.Entry{{To: 0, P: b}, {To: 1, P: 1 - b}}
-	return s
+func sparseTwoState(a, b float64) *linalg.CSR {
+	return linalg.NewCSR(2, 2, []int{0, 2, 4}, []int{0, 1, 0, 1}, []float64{1 - a, a, b, 1 - b})
 }
 
 func TestLanczosValidation(t *testing.T) {
