@@ -29,7 +29,7 @@ func BenchmarkAblationMixingSpectral(b *testing.B) {
 	d, _ := logit.New(dw, 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := mixing.ExactMixingTimePar(d, 0.25, 1<<50, nil, linalg.ParallelConfig{}); err != nil {
+		if _, err := mixing.ExactMixingTimePar(d, 0.25, 1<<50, linalg.ParallelConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,7 +27,6 @@ import (
 	"logitdyn/internal/obs"
 	"logitdyn/internal/rng"
 	"logitdyn/internal/sim"
-	"logitdyn/internal/spectral"
 )
 
 // Analyzer bundles a game with an inverse noise level.
@@ -188,12 +187,15 @@ func (a *Analyzer) Analyze(opts Options) (*Report, error) {
 
 // AnalyzeCtx is Analyze with observability: when ctx carries an
 // obs.Observer (and optionally a live trace), the pipeline records
-// per-stage spans — stationary/Gibbs, the dense spectral route or the
-// Lanczos sweep, the potential-stats/equilibrium/welfare pass — into the
-// stage histograms and the request's trace. The spans are pure
-// observation: the returned report is bit-identical to Analyze's
-// (pinned by the golden-invariance test), because no timer value ever
-// enters the report.
+// per-stage spans — the dense spectral route, or the Gibbs measure and
+// the Lanczos sweep, then the potential-stats/equilibrium/welfare pass —
+// into the stage histograms and the request's trace. The dense route is
+// one call to mixing.ExactMixingTimePar, which builds the chain once,
+// returns π with the measurement and evolves the chain only when it has
+// no spectral decomposition (a game without a potential, or π underflowed);
+// its spectral fields are then NaN. The spans are pure observation: the
+// returned report is bit-identical to Analyze's (pinned by the
+// golden-invariance test), because no timer value ever enters the report.
 func (a *Analyzer) AnalyzeCtx(ctx context.Context, opts Options) (*Report, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -210,57 +212,14 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, opts Options) (*Report, error
 		return nil, fmt.Errorf("core: %d profiles exceed the dense exact-analysis cap %d; use backend \"sparse\", \"matfree\" or \"auto\"",
 			size, opts.MaxExactStates)
 	}
-	rep := &Report{Beta: a.dyn.Beta(), NumProfiles: size, Backend: string(backend)}
-
-	// The stationary distribution is shared by the spectral route, the
-	// report payload and the welfare pass; compute it once. reconPhi holds
-	// a reconstructed potential table when the game is an exact potential
-	// game that doesn't declare one, so the stats pass doesn't redo the
-	// reconstruction.
-	var pi []float64
+	// reconPhi holds a reconstructed potential table when the game is an
+	// exact potential game that doesn't declare one, so the stats pass
+	// doesn't redo the reconstruction.
+	var res *mixing.Result
 	var reconPhi []float64
-
 	if backend == logit.BackendDense {
 		endSpectral := obs.StartSpan(ctx, obs.StageSpectral)
-		// The Gibbs measure, or a dense solve when the game has no
-		// potential; both the exact route and the evolution fallback
-		// reuse it.
-		pi, err = a.dyn.StationaryPar(opts.Parallel)
-		if err != nil {
-			endSpectral()
-			return nil, err
-		}
-		if res, err := mixing.ExactMixingTimePar(a.dyn, opts.Eps, opts.MaxT, pi, opts.Parallel); err == nil {
-			rep.MixingTimeExact = true
-			rep.SpectralConverged = true
-			rep.MixingTime = res.MixingTime
-			rep.RelaxationTime = res.RelaxationTime
-			rep.LambdaStar = res.LambdaStar
-			rep.MinEigenvalue = res.MinEigenvalue
-			rep.SpectralLower = res.SpectralLower
-			rep.SpectralUpper = res.SpectralUpper
-		} else {
-			// Non-reversible chains (non-potential games) have no symmetric
-			// spectral decomposition; measure by brute-force evolution instead
-			// and mark the spectral fields unavailable.
-			maxEvo := opts.MaxT
-			if maxEvo > 1<<20 {
-				maxEvo = 1 << 20
-			}
-			tm, evoErr := mixing.EvolutionMixingTimePar(a.dyn, opts.Eps, int(maxEvo), pi, opts.Parallel)
-			if evoErr != nil {
-				endSpectral()
-				return nil, fmt.Errorf("core: spectral route failed (%v) and evolution fallback failed (%v)", err, evoErr)
-			}
-			rep.MixingTimeExact = true
-			rep.SpectralConverged = true
-			rep.MixingTime = tm
-			rep.RelaxationTime = math.NaN()
-			rep.LambdaStar = math.NaN()
-			rep.MinEigenvalue = math.NaN()
-			rep.SpectralLower = math.NaN()
-			rep.SpectralUpper = math.NaN()
-		}
+		res, err = mixing.ExactMixingTimePar(a.dyn, opts.Eps, opts.MaxT, opts.Parallel)
 		endSpectral()
 	} else {
 		endStationary := obs.StartSpan(ctx, obs.StageStationary)
@@ -278,21 +237,30 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, opts Options) (*Report, error
 			reconPhi = phi
 			gibbs = gibbsFromPhi(phi, a.dyn.Beta())
 		}
-		pi = gibbs
 		endStationary()
 		endLanczos := obs.StartSpan(ctx, obs.StageLanczos)
-		res, lerr := mixing.RelaxationSandwichPar(a.dyn, backend, opts.Eps, pi, opts.Parallel)
+		res, err = mixing.RelaxationSandwichPar(a.dyn, backend, opts.Eps, gibbs, opts.Parallel)
 		endLanczos()
-		if lerr != nil {
-			return nil, lerr
-		}
-		rep.RelaxationTime = res.RelaxationTime
-		rep.LambdaStar = res.LambdaStar
-		rep.MinEigenvalue = res.MinEigenvalue
-		rep.SpectralLower = res.SpectralLower
-		rep.SpectralUpper = res.SpectralUpper
-		rep.LanczosIterations = res.LanczosIterations
-		rep.SpectralConverged = res.Converged
+	}
+	if err != nil {
+		return nil, err
+	}
+	// The stationary distribution is shared by the report payload and the
+	// welfare pass.
+	pi := res.Stationary
+	rep := &Report{
+		Beta:              a.dyn.Beta(),
+		NumProfiles:       size,
+		Backend:           string(backend),
+		MixingTimeExact:   res.Exact,
+		MixingTime:        res.MixingTime,
+		SpectralLower:     res.SpectralLower,
+		SpectralUpper:     res.SpectralUpper,
+		RelaxationTime:    res.RelaxationTime,
+		LambdaStar:        res.LambdaStar,
+		MinEigenvalue:     res.MinEigenvalue,
+		LanczosIterations: res.LanczosIterations,
+		SpectralConverged: res.Converged,
 	}
 
 	// Above the dense threshold the full vector payloads would dominate
@@ -397,7 +365,9 @@ func AnalyzeGameCtx(ctx context.Context, g game.Game, beta float64, opts Options
 	return a.AnalyzeCtx(ctx, opts)
 }
 
-// MixingTime is a convenience wrapper returning only the exact t_mix(ε).
+// MixingTime is a convenience wrapper returning only the exact t_mix(ε)
+// from the dense route (mixing.ExactMixingTimePar): a game without a
+// potential is measured by evolution, as Analyze measures it.
 func (a *Analyzer) MixingTime(eps float64, maxT int64) (int64, error) {
 	if eps == 0 {
 		eps = mixing.DefaultEps
@@ -405,25 +375,11 @@ func (a *Analyzer) MixingTime(eps float64, maxT int64) (int64, error) {
 	if maxT == 0 {
 		maxT = 1 << 62
 	}
-	res, err := mixing.ExactMixingTimePar(a.dyn, eps, maxT, nil, linalg.ParallelConfig{})
+	res, err := mixing.ExactMixingTimePar(a.dyn, eps, maxT, linalg.ParallelConfig{})
 	if err != nil {
 		return 0, err
 	}
 	return res.MixingTime, nil
-}
-
-// Spectrum returns the sorted eigenvalues (λ1 = 1 first) of the chain.
-func (a *Analyzer) Spectrum() ([]float64, error) {
-	par := linalg.ParallelConfig{}
-	pi, err := a.dyn.StationaryPar(par)
-	if err != nil {
-		return nil, err
-	}
-	dec, err := spectral.Decompose(a.dyn.TransitionDensePar(par), pi)
-	if err != nil {
-		return nil, err
-	}
-	return dec.Values, nil
 }
 
 // Gibbs returns the stationary Gibbs measure for potential games.
@@ -475,36 +431,4 @@ func (a *Analyzer) SimulateReplicas(start []int, t, replicas int, seed uint64, w
 		out[i] = float64(c) / visits
 	}
 	return out, nil
-}
-
-// GrowthExponent sweeps β over the grid, measures exact mixing times, and
-// returns the fitted slope of log t_mix against β together with the
-// per-β measurements. The theorems predict ΔΦ, ζ, 2δ or 0 depending on the
-// game class.
-func GrowthExponent(g game.Game, betas []float64, eps float64, maxT int64) (slope float64, times []int64, err error) {
-	if eps == 0 {
-		eps = mixing.DefaultEps
-	}
-	if maxT == 0 {
-		maxT = 1 << 62
-	}
-	times = make([]int64, len(betas))
-	ft := make([]float64, len(betas))
-	for i, b := range betas {
-		a, err := NewAnalyzer(g, b)
-		if err != nil {
-			return 0, nil, err
-		}
-		tm, err := a.MixingTime(eps, maxT)
-		if err != nil {
-			return 0, nil, err
-		}
-		times[i] = tm
-		ft[i] = math.Max(float64(tm), 1)
-	}
-	slope, err = mixing.GrowthExponent(betas, ft)
-	if err != nil {
-		return 0, nil, err
-	}
-	return slope, times, nil
 }

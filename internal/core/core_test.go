@@ -169,6 +169,23 @@ func TestAnalyzeRejectsOutOfRangeOptions(t *testing.T) {
 			}
 		}
 	}
+
+	// A chain with a spectral decomposition whose t_mix exceeds MaxT has
+	// its answer from the d(t) search: d(t) is non-increasing, so evolving
+	// up to MaxT steps cannot mix sooner and must not run. This double
+	// well has t_mix 13,317.
+	well, err := game.NewDoubleWell(6, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err = NewAnalyzer(well, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = a.Analyze(Options{Backend: "dense", MaxT: 2000})
+	if err == nil || !strings.Contains(err.Error(), "exceeds 2000") || strings.Contains(err.Error(), "evolution") {
+		t.Fatalf("t_mix above MaxT on a decomposed chain: got %v, want the spectral search's error alone", err)
+	}
 }
 
 // bareDoubleWell is the 4-player double well materialized WITHOUT its
@@ -225,10 +242,10 @@ func matchingPennies() *game.TableGame {
 func TestDenseRouteComputesStationaryOnce(t *testing.T) {
 	// Without a closed-form Gibbs measure π comes from a dense solve: a
 	// potential game stripped of its Φ table, and matching pennies, which
-	// has no potential at all. The dense route solves once and reuses that
-	// π for the exact route or the evolution fallback and for the report:
-	// the trace has no stationary stage, and the report carries the same
-	// π and t_mix as the standalone calls.
+	// has no potential at all. The dense route solves once, inside
+	// mixing.ExactMixingTimePar, and the report reuses that π: the trace
+	// has no stationary stage, and the report carries the same π and t_mix
+	// as the standalone route.
 	for name, g := range map[string]*game.TableGame{
 		"bare-doublewell":  bareDoubleWell(t),
 		"matching-pennies": matchingPennies(),
@@ -249,21 +266,15 @@ func TestDenseRouteComputesStationaryOnce(t *testing.T) {
 					t.Fatalf("dense route recomputed π: spans %+v", tr.Doc(true).Spans)
 				}
 			}
-			pi, err := a.dyn.StationaryPar(linalg.ParallelConfig{})
+			res, err := mixing.ExactMixingTimePar(a.dyn, mixing.DefaultEps, 1<<62, linalg.ParallelConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(rep.Stationary, pi) {
-				t.Fatalf("report π %v differs from the stationary solve's %v", rep.Stationary, pi)
+			if !slices.Equal(rep.Stationary, res.Stationary) {
+				t.Fatalf("report π %v differs from the route's %v", rep.Stationary, res.Stationary)
 			}
-			var want int64
-			if res, err := mixing.ExactMixingTimePar(a.dyn, mixing.DefaultEps, 1<<62, nil, linalg.ParallelConfig{}); err == nil {
-				want = res.MixingTime
-			} else if want, err = mixing.EvolutionMixingTimePar(a.dyn, mixing.DefaultEps, 1<<20, nil, linalg.ParallelConfig{}); err != nil {
-				t.Fatal(err)
-			}
-			if rep.MixingTime != want {
-				t.Fatalf("report t_mix %d, standalone route %d", rep.MixingTime, want)
+			if rep.MixingTime != res.MixingTime {
+				t.Fatalf("report t_mix %d, standalone route %d", rep.MixingTime, res.MixingTime)
 			}
 		})
 	}
@@ -471,22 +482,6 @@ func BenchmarkSimulateReplicas(b *testing.B) {
 	}
 }
 
-func TestSpectrumTopIsOne(t *testing.T) {
-	a, _ := NewAnalyzer(coordGame(t), 1)
-	vals, err := a.Spectrum()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(vals[0]-1) > 1e-12 {
-		t.Fatalf("λ1 = %g", vals[0])
-	}
-	for i := 1; i < len(vals); i++ {
-		if vals[i] > vals[i-1]+1e-12 {
-			t.Fatal("spectrum must be non-increasing")
-		}
-	}
-}
-
 func TestGrowthExponentRingTracksTwoDelta(t *testing.T) {
 	// Theorem 5.6/5.7: ring with δ0=δ1=δ has exponent ≈ 2δ.
 	delta := 1.0
@@ -495,12 +490,21 @@ func TestGrowthExponentRingTracksTwoDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	betas := []float64{1.5, 2, 2.5, 3}
-	slope, times, err := GrowthExponent(g, betas, 0, 0)
+	times := make([]float64, len(betas))
+	for i, beta := range betas {
+		a, err := NewAnalyzer(g, beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm, err := a.MixingTime(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		times[i] = float64(tm)
+	}
+	slope, err := mixing.GrowthExponent(betas, times)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(times) != len(betas) {
-		t.Fatal("times length mismatch")
 	}
 	if math.Abs(slope-2*delta) > 0.5 {
 		t.Errorf("ring slope = %g, want ≈ %g", slope, 2*delta)

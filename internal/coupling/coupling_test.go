@@ -120,7 +120,7 @@ func TestEstimateMixingUpperBoundsExact(t *testing.T) {
 	// The coupling estimate must upper-bound the exact mixing time
 	// (Theorem 2.1), up to sampling noise — check with generous trials.
 	d := coordDyn(t, 0.8)
-	res, err := mixing.ExactMixingTimePar(d, 0.25, 1<<40, nil, linalg.ParallelConfig{})
+	res, err := mixing.ExactMixingTimePar(d, 0.25, 1<<40, linalg.ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestPathCouplingUpperBoundsRing(t *testing.T) {
 	n := 4
 	delta, beta := 1.0, 0.5
 	d := ringDyn(t, n, delta, beta)
-	res, err := mixing.ExactMixingTimePar(d, 0.25, 1<<40, nil, linalg.ParallelConfig{})
+	res, err := mixing.ExactMixingTimePar(d, 0.25, 1<<40, linalg.ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

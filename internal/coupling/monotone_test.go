@@ -29,7 +29,7 @@ func TestMonotoneEstimateUpperBoundsExact(t *testing.T) {
 	// The monotone top-bottom estimate must dominate the exact t_mix within
 	// its confidence interval.
 	d := ringDyn(t, 5, 1, 0.6)
-	res, err := mixing.ExactMixingTimePar(d, 0.25, 1<<40, nil, linalg.ParallelConfig{})
+	res, err := mixing.ExactMixingTimePar(d, 0.25, 1<<40, linalg.ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,7 +166,7 @@ func TestRelaxationSandwichBracketsExactMixing(t *testing.T) {
 	for _, fam := range parityFamilies {
 		t.Run(fam.name, func(t *testing.T) {
 			d := parityDyn(t, fam.s)
-			exact, err := ExactMixingTimePar(d, DefaultEps, 1<<40, nil, linalg.ParallelConfig{})
+			exact, err := ExactMixingTimePar(d, DefaultEps, 1<<40, linalg.ParallelConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}

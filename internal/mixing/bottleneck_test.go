@@ -77,7 +77,7 @@ func TestTheorem35CutHoldsOnDoubleWell(t *testing.T) {
 		if bR <= 0 {
 			t.Fatal("bottleneck ratio must be positive for an ergodic chain")
 		}
-		res, err := ExactMixingTimePar(d, DefaultEps, 1<<50, nil, linalg.ParallelConfig{})
+		res, err := ExactMixingTimePar(d, DefaultEps, 1<<50, linalg.ParallelConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestTheorem43CutMatchesClosedForm(t *testing.T) {
 	if closed := Theorem43Lower(n, m); lower < closed-1e-9 {
 		t.Errorf("exact bound %g below closed form %g", lower, closed)
 	}
-	res, err := ExactMixingTimePar(d, DefaultEps, 1<<50, nil, linalg.ParallelConfig{})
+	res, err := ExactMixingTimePar(d, DefaultEps, 1<<50, linalg.ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,47 +38,91 @@ type Result struct {
 	// the iteration cap ran out before the Ritz values stabilized, in
 	// which case λ* (and the sandwich derived from it) are lower bounds.
 	Converged bool
+	// Stationary is the stationary distribution π the measurement used:
+	// the Gibbs measure of a potential game, or the dense null-space solve
+	// when the dense route measures a game without a potential.
+	Stationary []float64
 }
 
-// ExactMixingTimePar decomposes the logit chain of d and returns the exact
-// t_mix(eps), capped at maxT. The chain must be reversible (potential game,
-// or any game whose stationary distribution makes it reversible). The
-// transition-matrix build and the d(t) evaluation sweep fan out at
-// most par.Workers goroutines, so a serving layer's token pool governs the
-// dense exact route the same way it governs the Lanczos route. The budget
-// never changes any reported number — the matrix rows are filled at fixed
-// positions and the worst-start TV distance is an exact max-merge. A
-// caller that already holds the stationary distribution passes it as pi;
-// pi == nil computes it here.
-func ExactMixingTimePar(d *logit.Dynamics, eps float64, maxT int64, pi []float64, par linalg.ParallelConfig) (*Result, error) {
-	if pi == nil {
-		var err error
-		if pi, err = d.StationaryPar(par); err != nil {
+// maxEvolutionSteps caps the evolution fallback of ExactMixingTimePar:
+// the brute-force sweep is O(t·|S|·nnz), so past 2^20 steps it stops
+// whatever maxT allows.
+const maxEvolutionSteps = 1 << 20
+
+// ExactMixingTimePar is the whole dense exact route: it measures t_mix(eps)
+// of the logit chain of d, capped at maxT, from one transition build. The
+// CSR chain is expanded once into the dense P; π is the Gibbs measure, or
+// the direct null-space solve of P when the game has no potential; then
+// (P, π) is decomposed. With a decomposition the result carries the exact
+// t_mix from d(t) and the Theorem 2.3 sandwich, and a t_mix above maxT is
+// the answer: d(t) is non-increasing, so no evolution capped at maxT could
+// mix sooner. Only a chain without a decomposition — not reversible, π
+// underflowed to zero somewhere, or the eigensolver failed — is measured
+// by evolving every start on the same CSR chain, capped at min(maxT,
+// 2^20) steps, with the spectral fields set to NaN. Result.Stationary is
+// π either way.
+//
+// The transition build, the d(t) sweep and the evolution fan out at most
+// par.Workers goroutines, so a serving layer's token pool governs the
+// dense route the same way it governs the Lanczos route. The budget never
+// changes any reported number — the matrix rows are filled at fixed
+// positions, the worst-start TV distance is an exact max-merge and each
+// start evolves serially in its own slot.
+func ExactMixingTimePar(d *logit.Dynamics, eps float64, maxT int64, par linalg.ParallelConfig) (*Result, error) {
+	csr := d.TransitionCSRPar(par)
+	p := csr.Dense()
+	pi, err := d.GibbsPar(par)
+	if err != nil {
+		if pi, err = markov.StationaryDirect(p); err != nil {
 			return nil, err
 		}
 	}
-	dec, err := spectral.Decompose(d.TransitionDensePar(par), pi)
+	dec, decErr := spectral.Decompose(p, pi)
+	if decErr != nil {
+		tm, err := evolve(csr, pi, eps, min(maxT, maxEvolutionSteps), par)
+		if err != nil {
+			return nil, fmt.Errorf("mixing: spectral route failed (%v) and evolution fallback failed (%v)", decErr, err)
+		}
+		nan := math.NaN()
+		return &Result{
+			Beta:           d.Beta(),
+			Backend:        logit.BackendDense,
+			Exact:          true,
+			Converged:      true,
+			MixingTime:     tm,
+			RelaxationTime: nan,
+			LambdaStar:     nan,
+			MinEigenvalue:  nan,
+			SpectralLower:  nan,
+			SpectralUpper:  nan,
+			Stationary:     pi,
+		}, nil
+	}
+	tm, err := dec.WithParallel(par).MixingTime(eps, maxT)
 	if err != nil {
 		return nil, err
 	}
-	dec.WithParallel(par)
-	tm, err := dec.MixingTime(eps, maxT)
-	if err != nil {
-		return nil, err
-	}
+	res := decompositionResult(d, dec, eps)
+	res.Exact = true
+	res.MixingTime = tm
+	return res, nil
+}
+
+// decompositionResult fills a dense Result's spectral fields — λ*, λ_min,
+// t_rel and the Theorem 2.3 sandwich at eps — and π from dec.
+func decompositionResult(d *logit.Dynamics, dec *spectral.Decomposition, eps float64) *Result {
 	lo, hi := dec.MixingTimeBoundsFromRelaxation(eps)
 	return &Result{
 		Beta:           d.Beta(),
 		Backend:        logit.BackendDense,
-		Exact:          true,
 		Converged:      true,
-		MixingTime:     tm,
 		RelaxationTime: dec.RelaxationTime(),
 		LambdaStar:     dec.LambdaStar(),
 		MinEigenvalue:  dec.MinEigenvalue(),
 		SpectralLower:  lo,
 		SpectralUpper:  hi,
-	}, nil
+		Stationary:     dec.Pi,
+	}
 }
 
 // lanczosSeed fixes the Lanczos start vector so repeated analyses of the
@@ -99,7 +143,7 @@ const lanczosMaxIter = 256
 // potential game — that is what makes the symmetrized operator symmetric
 // and the Gibbs measure available without a dense solve. A caller that
 // already holds the Gibbs measure passes it as pi (it is not re-verified);
-// pi == nil computes it here.
+// pi == nil computes it here. Result.Stationary is that π.
 //
 // Operator construction, the Lanczos mat-vecs and the re-orthogonalization
 // sweep all run on par. The budget never changes the measured spectrum —
@@ -125,17 +169,7 @@ func RelaxationSandwichPar(d *logit.Dynamics, backend logit.Backend, eps float64
 		if derr != nil {
 			return nil, derr
 		}
-		lo, hi := dec.MixingTimeBoundsFromRelaxation(eps)
-		return &Result{
-			Beta:           d.Beta(),
-			Backend:        logit.BackendDense,
-			Converged:      true,
-			RelaxationTime: dec.RelaxationTime(),
-			LambdaStar:     dec.LambdaStar(),
-			MinEigenvalue:  dec.MinEigenvalue(),
-			SpectralLower:  lo,
-			SpectralUpper:  hi,
-		}, nil
+		return decompositionResult(d, dec, eps), nil
 	}
 	p, err := d.OperatorPar(backend, par)
 	if err != nil {
@@ -160,6 +194,7 @@ func RelaxationSandwichPar(d *logit.Dynamics, backend logit.Backend, eps float64
 		SpectralLower:     lo,
 		SpectralUpper:     hi,
 		LanczosIterations: res.Iterations,
+		Stationary:        pi,
 	}, nil
 }
 
@@ -178,7 +213,16 @@ func EvolutionMixingTimePar(d *logit.Dynamics, eps float64, maxT int, pi []float
 			return 0, err
 		}
 	}
-	p := d.TransitionCSRPar(par).WithParallel(linalg.Serial)
+	return evolve(d.TransitionCSRPar(par), pi, eps, int64(maxT), par)
+}
+
+// evolve is the lockstep evolution behind EvolutionMixingTimePar and the
+// fallback of ExactMixingTimePar: every starting state of the chain p
+// evolves in lockstep until the worst TV distance to pi is at most eps,
+// for at most maxT steps. It sets p's own mat-vecs to run serially, since
+// par already fans out over the starts.
+func evolve(p *linalg.CSR, pi []float64, eps float64, maxT int64, par linalg.ParallelConfig) (int64, error) {
+	p.WithParallel(linalg.Serial)
 	size := p.NRows
 	// One distribution per starting state.
 	dists := make([][]float64, size)
@@ -201,7 +245,7 @@ func EvolutionMixingTimePar(d *logit.Dynamics, eps float64, maxT int, pi []float
 	if mixed() {
 		return 0, nil
 	}
-	for t := 1; t <= maxT; t++ {
+	for t := int64(1); t <= maxT; t++ {
 		par.For(size, func(lo, hi int) {
 			for x := lo; x < hi; x++ {
 				p.MatVecTrans(next[x], dists[x])
@@ -209,7 +253,7 @@ func EvolutionMixingTimePar(d *logit.Dynamics, eps float64, maxT int, pi []float
 		})
 		dists, next = next, dists
 		if mixed() {
-			return int64(t), nil
+			return t, nil
 		}
 	}
 	return 0, fmt.Errorf("mixing: evolution did not mix within %d steps", maxT)

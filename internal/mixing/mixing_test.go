@@ -30,7 +30,7 @@ func TestExactMixingTimeAgreesWithEvolution(t *testing.T) {
 	// The two independent measurement routes must agree exactly.
 	for _, beta := range []float64{0, 0.5, 1.2} {
 		d := coordDyn(t, beta)
-		spec, err := ExactMixingTimePar(d, DefaultEps, 1<<40, nil, linalg.ParallelConfig{})
+		spec, err := ExactMixingTimePar(d, DefaultEps, 1<<40, linalg.ParallelConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestExactMixingTimeRingGame(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, _ := logit.New(g, 0.5)
-	spec, err := ExactMixingTimePar(d, DefaultEps, 1<<40, nil, linalg.ParallelConfig{})
+	spec, err := ExactMixingTimePar(d, DefaultEps, 1<<40, linalg.ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestMixingTimeIncreasesWithBeta(t *testing.T) {
 	prev := int64(0)
 	for _, beta := range []float64{0, 1, 2, 3} {
 		d := coordDyn(t, beta)
-		res, err := ExactMixingTimePar(d, DefaultEps, 1<<50, nil, linalg.ParallelConfig{})
+		res, err := ExactMixingTimePar(d, DefaultEps, 1<<50, linalg.ParallelConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestMeasuredMixingUnderTheorem34(t *testing.T) {
 	}
 	for _, beta := range []float64{0, 0.5, 1, 2} {
 		d := coordDyn(t, beta)
-		res, err := ExactMixingTimePar(d, DefaultEps, 1<<50, nil, linalg.ParallelConfig{})
+		res, err := ExactMixingTimePar(d, DefaultEps, 1<<50, linalg.ParallelConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func TestExactMixingTimeWorkerInvariant(t *testing.T) {
 				t.Fatal(err)
 			}
 			measure := func(workers int) *Result {
-				res, err := ExactMixingTimePar(d, 0.25, 1<<62, nil,
+				res, err := ExactMixingTimePar(d, 0.25, 1<<62,
 					linalg.ParallelConfig{Workers: workers, MinRows: 1})
 				if err != nil {
 					t.Fatal(err)

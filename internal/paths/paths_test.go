@@ -191,7 +191,7 @@ func TestGamma5FeedsTheorem51(t *testing.T) {
 	}
 	// The full Theorem 5.1 mixing bound dominates ρ·log(1/(ε·π_min)) by
 	// construction; check the measured mixing time sits under the bound.
-	res, err := mixing.ExactMixingTimePar(d, 0.25, 1<<40, nil, linalg.ParallelConfig{})
+	res, err := mixing.ExactMixingTimePar(d, 0.25, 1<<40, linalg.ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

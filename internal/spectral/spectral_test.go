@@ -200,7 +200,9 @@ func TestRelaxationSandwich(t *testing.T) {
 
 func TestTheorem31EigenvaluesNonnegative(t *testing.T) {
 	// Theorem 3.1: every eigenvalue of the logit chain of a potential game
-	// is non-negative. Exercise it across game families and β values.
+	// is non-negative. Exercise it across game families and β values, and
+	// check that Decompose returns the spectrum from λ1 = 1 in
+	// non-increasing order.
 	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
 	ringGame, _ := game.NewGraphical(graph.Ring(4), base)
 	dw, _ := game.NewDoubleWell(5, 2, 1)
@@ -218,6 +220,14 @@ func TestTheorem31EigenvaluesNonnegative(t *testing.T) {
 			dec := mustDecompose(t, dyn)
 			if min := dec.MinEigenvalue(); min < -1e-9 {
 				t.Errorf("%s β=%g: λ_min = %g < 0 violates Theorem 3.1", name, beta, min)
+			}
+			if dec.Values[0] != 1 {
+				t.Errorf("%s β=%g: λ1 = %g", name, beta, dec.Values[0])
+			}
+			for i := 1; i < len(dec.Values); i++ {
+				if dec.Values[i] > dec.Values[i-1]+1e-12 {
+					t.Fatalf("%s β=%g: spectrum %v is not non-increasing", name, beta, dec.Values)
+				}
 			}
 		}
 	}
