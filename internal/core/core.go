@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"logitdyn/internal/game"
 	"logitdyn/internal/linalg"
@@ -29,9 +30,10 @@ import (
 	"logitdyn/internal/sim"
 )
 
-// Analyzer bundles a game with an inverse noise level.
+// Analyzer bundles a prepared game with an inverse noise level.
 type Analyzer struct {
-	dyn *logit.Dynamics
+	prep *Prepared
+	dyn  *logit.Dynamics
 }
 
 // NewAnalyzer validates the inputs and returns an analyzer. The profile
@@ -42,7 +44,7 @@ func NewAnalyzer(g game.Game, beta float64) (*Analyzer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Analyzer{dyn: d}, nil
+	return &Analyzer{prep: Prepare(g), dyn: d}, nil
 }
 
 // Dynamics exposes the underlying logit dynamics.
@@ -70,10 +72,13 @@ type Options struct {
 	// Parallel is the execution value for the analysis. Its worker budget
 	// drives operator mat-vecs, Lanczos re-orthogonalization and the
 	// Gibbs/potential/welfare/equilibrium sweeps; the zero value selects
-	// GOMAXPROCS. Its Arena, when set, supplies the analysis' working
-	// memory: the sparse operator's CSR arrays, the potential tables and ζ
-	// scan temporaries, and the whole Lanczos workspace check out of it
-	// instead of the heap. The caller owns the arena and must not Reset or
+	// GOMAXPROCS. Its Arena, when set, supplies the analysis' per-β
+	// working memory: the sparse operator's CSR arrays, the Gibbs pass's
+	// scratch and the whole Lanczos workspace check out of it instead of
+	// the heap. The game's facts (the potential statistics with their Φ
+	// table and ζ-scan temporaries, the equilibrium scans) outlive any one
+	// analysis, so they are computed on the heap, never in the arena (see
+	// Prepared). The caller owns the arena and must not Reset or
 	// reuse it while the analysis runs; serving layers hand one out per
 	// worker token, and nil allocates fresh. Neither part EVER changes any
 	// reported number — every parallel reduction underneath uses fixed
@@ -189,19 +194,108 @@ func (a *Analyzer) Analyze(opts Options) (*Report, error) {
 // obs.Observer (and optionally a live trace), the pipeline records
 // per-stage spans — the dense spectral route, or the Gibbs measure and
 // the Lanczos sweep, then the potential-stats/equilibrium/welfare pass —
-// into the stage histograms and the request's trace. The dense route is
-// one call to mixing.ExactMixingTimePar, which builds the chain once,
-// returns π with the measurement and evolves the chain only when it has
-// no spectral decomposition (a game without a potential, or π underflowed);
-// its spectral fields are then NaN. The spans are pure observation: the
-// returned report is bit-identical to Analyze's (pinned by the
-// golden-invariance test), because no timer value ever enters the report.
+// into the stage histograms and the request's trace. The spans are pure
+// observation: the returned report is bit-identical to Analyze's (pinned
+// by the golden-invariance test), because no timer value ever enters the
+// report. The game's β-independent facts come from the analyzer's
+// Prepared, so repeated analyses compute them once.
 func (a *Analyzer) AnalyzeCtx(ctx context.Context, opts Options) (*Report, error) {
+	return a.prep.analyze(ctx, a.dyn, opts)
+}
+
+// Prepared is a game together with its β-independent facts: the potential
+// statistics ΔΦ, δΦ, ζ and the Φ table they are read from (reconstructed
+// when the game is an exact potential game that does not declare Φ), the
+// pure Nash equilibria and the dominant-strategy profile. The paper's
+// results are curves in β for a fixed game, so a β-sweep prepares its game
+// once and every point reads the same facts.
+//
+// Each fact is computed at most once, by the first analysis that needs it,
+// on that analysis' worker budget and never in its arena (the facts
+// outlive every analysis). A Prepared is safe for concurrent analyses.
+// Reports never alias the facts they can change: each gets its own copy of
+// the stats struct and of the equilibrium and dominant-profile slices;
+// only the Φ table of a small report is shared, and it is read-only.
+type Prepared struct {
+	g game.Game
+
+	potOnce sync.Once
+	pot     potentialFacts
+
+	scanOnce sync.Once
+	nash     []int
+	dominant []int // nil when the game has no dominant profile
+}
+
+// potentialFacts is the Prepared's potential landscape.
+type potentialFacts struct {
+	// declared is the game's own potential, nil when it declares none.
+	declared game.Potential
+	// stats is nil when the game has no exact potential at all.
+	stats *mixing.PotentialStats
+	err   error
+}
+
+// Prepare wraps g for analysis at any number of β values. It does no work
+// until the first analysis runs.
+func Prepare(g game.Game) *Prepared { return &Prepared{g: g} }
+
+// Game returns the prepared game.
+func (p *Prepared) Game() game.Game { return p.g }
+
+// AnalyzeCtx analyzes the logit dynamics of the prepared game at inverse
+// noise β (see Analyzer.AnalyzeCtx). It reports exactly what
+// AnalyzeGameCtx reports for the same game, β and options.
+func (p *Prepared) AnalyzeCtx(ctx context.Context, beta float64, opts Options) (*Report, error) {
+	d, err := logit.New(p.g, beta)
+	if err != nil {
+		return nil, err
+	}
+	return p.analyze(ctx, d, opts)
+}
+
+// potential returns the potential facts, computing them on the first call.
+func (p *Prepared) potential(par linalg.ParallelConfig) *potentialFacts {
+	p.potOnce.Do(func() {
+		par.Arena = nil // the facts outlive the analysis computing them
+		if d, ok := game.AsPotential(p.g); ok {
+			p.pot.declared = d
+			p.pot.stats, p.pot.err = mixing.AnalyzePotentialPar(d, par)
+			return
+		}
+		// A game can be an exact potential game without declaring Φ (e.g. a
+		// utility-table document): reconstruct the potential once.
+		if phi, ok := game.ReconstructPotential(p.g, 1e-9); ok {
+			p.pot.stats, p.pot.err = mixing.AnalyzePhiTablePar(game.SpaceOf(p.g), phi, par)
+		}
+	})
+	return &p.pot
+}
+
+// scans returns the pure Nash equilibria and the dominant profile,
+// scanning for them on the first call.
+func (p *Prepared) scans(par linalg.ParallelConfig) (nash, dominant []int) {
+	p.scanOnce.Do(func() {
+		par.Arena = nil
+		p.nash = game.PureNashEquilibriaPar(p.g, 1e-12, par)
+		if prof, ok := game.DominantProfilePar(p.g, 1e-12, par); ok {
+			p.dominant = prof
+		}
+	})
+	return p.nash, p.dominant
+}
+
+// analyze runs the pipeline for the dynamics d of the prepared game. The
+// dense route is one call to mixing.ExactMixingTimePar, which builds the
+// chain once, returns π with the measurement and evolves the chain only
+// when it has no spectral decomposition (a game without a potential, or π
+// underflowed); its spectral fields are then NaN.
+func (p *Prepared) analyze(ctx context.Context, d *logit.Dynamics, opts Options) (*Report, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	sp := a.dyn.Space()
+	sp := d.Space()
 	size := sp.Size()
 	requested, err := logit.ParseBackend(opts.Backend)
 	if err != nil {
@@ -212,34 +306,27 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, opts Options) (*Report, error
 		return nil, fmt.Errorf("core: %d profiles exceed the dense exact-analysis cap %d; use backend \"sparse\", \"matfree\" or \"auto\"",
 			size, opts.MaxExactStates)
 	}
-	// reconPhi holds a reconstructed potential table when the game is an
-	// exact potential game that doesn't declare one, so the stats pass
-	// doesn't redo the reconstruction.
 	var res *mixing.Result
-	var reconPhi []float64
 	if backend == logit.BackendDense {
 		endSpectral := obs.StartSpan(ctx, obs.StageSpectral)
-		res, err = mixing.ExactMixingTimePar(a.dyn, opts.Eps, opts.MaxT, opts.Parallel)
+		res, err = mixing.ExactMixingTimePar(d, opts.Eps, opts.MaxT, opts.Parallel)
 		endSpectral()
 	} else {
 		endStationary := obs.StartSpan(ctx, obs.StageStationary)
-		gibbs, gerr := a.dyn.GibbsPar(opts.Parallel)
+		gibbs, gerr := d.GibbsPar(opts.Parallel)
 		if gerr != nil {
-			// A game can be an exact potential game without declaring Φ
-			// (e.g. a utility-table document): reconstruct the potential —
-			// the same O(N·n·m) integration the dense route runs for its
-			// stats — and build the Gibbs measure from it.
-			phi, ok := game.ReconstructPotential(a.dyn.Game(), 1e-9)
-			if !ok {
+			// Without a declared Φ, the Gibbs measure comes from the
+			// reconstructed potential — the same table the stats read.
+			pot := p.potential(opts.Parallel)
+			if pot.stats == nil {
 				endStationary()
 				return nil, fmt.Errorf("core: the %s backend needs a potential game (reversible chain with closed-form π): %w", backend, gerr)
 			}
-			reconPhi = phi
-			gibbs = gibbsFromPhi(phi, a.dyn.Beta())
+			gibbs = gibbsFromPhi(pot.stats.Phi, d.Beta())
 		}
 		endStationary()
 		endLanczos := obs.StartSpan(ctx, obs.StageLanczos)
-		res, err = mixing.RelaxationSandwichPar(a.dyn, backend, opts.Eps, gibbs, opts.Parallel)
+		res, err = mixing.RelaxationSandwichPar(d, backend, opts.Eps, gibbs, opts.Parallel)
 		endLanczos()
 	}
 	if err != nil {
@@ -249,7 +336,7 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, opts Options) (*Report, error
 	// welfare pass.
 	pi := res.Stationary
 	rep := &Report{
-		Beta:              a.dyn.Beta(),
+		Beta:              d.Beta(),
 		NumProfiles:       size,
 		Backend:           string(backend),
 		MixingTimeExact:   res.Exact,
@@ -272,54 +359,25 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, opts Options) (*Report, error
 
 	endStats := obs.StartSpan(ctx, obs.StageStats)
 	defer endStats()
-	g := a.dyn.Game()
-	if p, ok := game.AsPotential(g); ok {
+	pot := p.potential(opts.Parallel)
+	if pot.err != nil {
+		return nil, pot.err
+	}
+	nash, dominant := p.scans(opts.Parallel)
+	if pot.stats != nil {
 		rep.IsPotentialGame = true
-		rep.Stats, err = mixing.AnalyzePotentialPar(p, opts.Parallel)
-		if err != nil {
-			return nil, err
+		st := *pot.stats
+		if large {
+			st.Phi = nil
 		}
-		// The Φ table may live in the arena. Small-game reports keep it,
-		// so it must survive the arena's Reset; large reports elide it
-		// below.
-		if !large && opts.Parallel.Arena != nil {
-			rep.Stats.Phi = slices.Clone(rep.Stats.Phi)
-		}
-		// The serial and parallel potential analyses agree exactly, so the
-		// bounds built from these stats match what mixing.Report computes.
-		rep.Bounds, err = mixing.ReportFromStats(p, a.dyn.Beta(), opts.Eps, rep.Stats)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		phi := reconPhi
-		if phi == nil {
-			if p2, ok := game.ReconstructPotential(g, 1e-9); ok {
-				phi = p2
-			}
-		}
-		if phi != nil {
-			rep.IsPotentialGame = true
-			rep.Stats, err = mixing.AnalyzePhiTablePar(sp, phi, opts.Parallel)
-			if err != nil {
-				return nil, err
-			}
+		rep.Stats = &st
+		if pot.declared != nil {
+			rep.Bounds = mixing.BoundsFromStats(sp, d.Beta(), opts.Eps, rep.Stats, dominant != nil)
 		}
 	}
-	if large {
-		if rep.Stats != nil {
-			rep.Stats.Phi = nil
-		}
-		if rep.Bounds != nil && rep.Bounds.Stats != nil {
-			rep.Bounds.Stats.Phi = nil
-		}
-	}
-
-	rep.PureNash = game.PureNashEquilibriaPar(g, 1e-12, opts.Parallel)
-	if prof, ok := game.DominantProfilePar(g, 1e-12, opts.Parallel); ok {
-		rep.DominantProfile = prof
-	}
-	rep.Welfare, err = mixing.WelfareFromNash(a.dyn, pi, rep.PureNash, opts.Parallel)
+	rep.PureNash = slices.Clone(nash)
+	rep.DominantProfile = slices.Clone(dominant)
+	rep.Welfare, err = mixing.WelfareFromNash(d, pi, rep.PureNash, opts.Parallel)
 	if err != nil {
 		return nil, err
 	}
@@ -347,22 +405,19 @@ func gibbsFromPhi(phi []float64, beta float64) []float64 {
 	return pi
 }
 
-// AnalyzeGame is the one-shot entry point: build the analyzer for (g, β)
-// and run the exact pipeline. Serving layers use it as the cache-miss
-// path, keyed on the canonical game hash plus Normalized options.
+// AnalyzeGame is the one-shot entry point: prepare g and analyze it at β.
+// Serving layers use it as the cache-miss path, keyed on the canonical
+// game hash plus Normalized options.
 func AnalyzeGame(g game.Game, beta float64, opts Options) (*Report, error) {
 	return AnalyzeGameCtx(context.Background(), g, beta, opts)
 }
 
 // AnalyzeGameCtx is AnalyzeGame with observability context: stage spans
 // are recorded against the ctx's observer/trace and never change the
-// report (see AnalyzeCtx).
+// report (see AnalyzeCtx). It is Prepare(g).AnalyzeCtx(ctx, beta, opts);
+// callers that analyze one game at several β should keep the Prepared.
 func AnalyzeGameCtx(ctx context.Context, g game.Game, beta float64, opts Options) (*Report, error) {
-	a, err := NewAnalyzer(g, beta)
-	if err != nil {
-		return nil, err
-	}
-	return a.AnalyzeCtx(ctx, opts)
+	return Prepare(g).AnalyzeCtx(ctx, beta, opts)
 }
 
 // MixingTime is a convenience wrapper returning only the exact t_mix(ε)

@@ -309,11 +309,18 @@ type BoundsReport struct {
 
 // ReportFromStats computes the bounds report for a potential game at
 // inverse noise β from its potential statistics (AnalyzePotentialPar): it
-// evaluates the closed-form bounds without re-tabulating Φ. Every worker
-// budget produces identical stats, so a report built from any of them is
-// the same report.
+// evaluates the closed-form bounds without re-tabulating Φ, scanning the
+// game once for a dominant profile. Every worker budget produces
+// identical stats, so a report built from any of them is the same report.
 func ReportFromStats(p game.Potential, beta, eps float64, st *PotentialStats) (*BoundsReport, error) {
-	sp := game.SpaceOf(p)
+	_, dominant := game.DominantProfilePar(p, 1e-12, linalg.Serial)
+	return BoundsFromStats(game.SpaceOf(p), beta, eps, st, dominant), nil
+}
+
+// BoundsFromStats is ReportFromStats for a caller that already knows
+// whether the game has a dominant profile (core reads it from the game's
+// prepared facts), so the game is not scanned again.
+func BoundsFromStats(sp *game.Space, beta, eps float64, st *PotentialStats, dominant bool) *BoundsReport {
 	n, m := sp.Players(), sp.MaxStrategies()
 	const smallBetaC = 0.5
 	r := &BoundsReport{
@@ -326,9 +333,9 @@ func ReportFromStats(p game.Potential, beta, eps float64, st *PotentialStats) (*
 		r.Thm36Applies = true
 		r.Thm36Upper = Theorem36Upper(n, smallBetaC, eps)
 	}
-	if _, ok := game.DominantProfilePar(p, 1e-12, linalg.Serial); ok {
+	if dominant {
 		r.HasDominantProfile = true
 		r.Thm42Upper = Theorem42Upper(n, m)
 	}
-	return r, nil
+	return r
 }

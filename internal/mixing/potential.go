@@ -75,21 +75,25 @@ func AnalyzePhiTablePar(sp *game.Space, phi []float64, par linalg.ParallelConfig
 	}
 	st := &PotentialStats{Phi: phi, PhiMin: math.Inf(1), PhiMax: math.Inf(-1)}
 	var mu sync.Mutex
+	// −0 orders below +0, so a table holding both zeros as an extreme
+	// reports the same signed zero whatever order the shards combine in.
+	lower := func(v, cur float64) bool { return v < cur || (v == cur && math.Signbit(v)) }
+	upper := func(v, cur float64) bool { return v > cur || (v == cur && !math.Signbit(v)) }
 	par.For(len(phi), func(lo, hi int) {
 		localMin, localMax := math.Inf(1), math.Inf(-1)
 		for _, v := range phi[lo:hi] {
-			if v < localMin {
+			if lower(v, localMin) {
 				localMin = v
 			}
-			if v > localMax {
+			if upper(v, localMax) {
 				localMax = v
 			}
 		}
 		mu.Lock()
-		if localMin < st.PhiMin {
+		if lower(localMin, st.PhiMin) {
 			st.PhiMin = localMin
 		}
-		if localMax > st.PhiMax {
+		if upper(localMax, st.PhiMax) {
 			st.PhiMax = localMax
 		}
 		mu.Unlock()

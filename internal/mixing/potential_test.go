@@ -250,3 +250,30 @@ func bruteForceZeta(sp *game.Space, phi []float64) float64 {
 	}
 	return best
 }
+
+// A Φ table whose extremes are zeros of both signs reports the same signed
+// PhiMin, PhiMax and ΔΦ at every worker budget and shard size.
+func TestPhiExtremesSignedZeroWorkerInvariant(t *testing.T) {
+	g := game.NewTableGame([]int{2, 2, 2})
+	negZero := math.Copysign(0, -1)
+	phi := []float64{0, negZero, 0, negZero, negZero, 0, negZero, 0}
+	want, err := AnalyzePhiTablePar(g.Space(), phi, linalg.Serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.Signbit(want.PhiMin) || math.Signbit(want.PhiMax) {
+		t.Fatalf("PhiMin %v, PhiMax %v: want −0 and +0", want.PhiMin, want.PhiMax)
+	}
+	for _, workers := range []int{2, 4, 8} {
+		st, err := AnalyzePhiTablePar(g.Space(), phi, linalg.ParallelConfig{Workers: workers, MinRows: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range [][2]float64{{st.PhiMin, want.PhiMin}, {st.PhiMax, want.PhiMax}, {st.DeltaPhi, want.DeltaPhi}} {
+			if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+				t.Fatalf("workers=%d: extremes %v/%v/%v, serial %v/%v/%v", workers,
+					st.PhiMin, st.PhiMax, st.DeltaPhi, want.PhiMin, want.PhiMax, want.DeltaPhi)
+			}
+		}
+	}
+}

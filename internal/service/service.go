@@ -542,7 +542,7 @@ func (s *Service) analyzeOne(ctx context.Context, req AnalyzeRequest) (*AnalyzeR
 	// Materialize once and analyze the table, so the digest and the
 	// analysis don't each re-evaluate every lazy utility.
 	table := s.materialize(ctx, g)
-	return s.analyzeBuilt(ctx, table, store.GameDigest(table), name, req.Beta, req.Eps, req.MaxT, req.Backend)
+	return s.analyzeBuilt(ctx, core.Prepare(table), store.GameDigest(table), name, req.Beta, req.Eps, req.MaxT, req.Backend)
 }
 
 // borrowFor sizes and takes an extra-token loan for a task with n
@@ -579,17 +579,18 @@ const (
 	sourceAnalyzed evalSource = "analyzed" // a fresh analysis ran
 )
 
-// analyzeBuilt is the shared serving path once the game is built and
-// digested; β-sweeps reuse one digest across all their items.
-func (s *Service) analyzeBuilt(ctx context.Context, g game.Game, digest [32]byte, name string, beta, eps float64, maxT int64, backend string) (*AnalyzeResponse, error) {
-	resp, _, err := s.analyzeBuiltTier(ctx, g, digest, name, beta, eps, maxT, backend)
+// analyzeBuilt is the shared serving path once the game is built,
+// prepared and digested; β-sweeps reuse one Prepared and one digest
+// across all their items.
+func (s *Service) analyzeBuilt(ctx context.Context, prep *core.Prepared, digest [32]byte, name string, beta, eps float64, maxT int64, backend string) (*AnalyzeResponse, error) {
+	resp, _, err := s.analyzeBuiltTier(ctx, prep, digest, name, beta, eps, maxT, backend)
 	return resp, err
 }
 
 // analyzeBuiltTier is analyzeBuilt plus tier attribution: the lookup walks
 // LRU → persistent store → fresh analysis, and reports which tier
 // answered.
-func (s *Service) analyzeBuiltTier(ctx context.Context, g game.Game, digest [32]byte, name string, beta, eps float64, maxT int64, backend string) (*AnalyzeResponse, evalSource, error) {
+func (s *Service) analyzeBuiltTier(ctx context.Context, prep *core.Prepared, digest [32]byte, name string, beta, eps float64, maxT int64, backend string) (*AnalyzeResponse, evalSource, error) {
 	if err := s.cfg.Limits.CheckBeta(beta); err != nil {
 		return nil, "", err
 	}
@@ -600,7 +601,7 @@ func (s *Service) analyzeBuiltTier(ctx context.Context, g game.Game, digest [32]
 	if err != nil {
 		return nil, "", err
 	}
-	size := game.SpaceOf(g).Size()
+	size := game.SpaceOf(prep.Game()).Size()
 	resolved := b.Resolve(size, s.cfg.Limits.MaxProfiles)
 	opts := core.Options{
 		Eps:            eps,
@@ -664,7 +665,7 @@ func (s *Service) analyzeBuiltTier(ctx context.Context, g game.Game, digest [32]
 			runOpts := opts
 			runOpts.Parallel = par
 			runOpts.Parallel.Arena = ar
-			rep, aerr = core.AnalyzeGameCtx(ctx, g, beta, runOpts)
+			rep, aerr = prep.AnalyzeCtx(ctx, beta, runOpts)
 		})
 		if aerr != nil {
 			s.analysesFailed.Add(1)
@@ -774,9 +775,9 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return BatchItemResult{AnalyzeResponse: resp}
 		})
 	case len(req.Betas) > 0:
-		// A β-sweep shares one game: build, materialize and digest it once
-		// instead of once per β. The materialized table is read-only, so
-		// concurrent analyses can share it.
+		// A β-sweep shares one game: build, materialize, digest and prepare
+		// it once instead of once per β. The table and its facts are
+		// read-only once computed, so concurrent analyses can share them.
 		g, name, err := s.buildGame(req.Spec, req.Game, req.Name, req.Backend)
 		if err != nil {
 			writeError(w, statusFor(err), err)
@@ -784,8 +785,9 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		table := s.materialize(r.Context(), g)
 		digest := store.GameDigest(table)
+		prep := core.Prepare(table)
 		results = sim.Map(req.Betas, 0, s.pool.Workers(), func(_ int, beta float64, _ *rng.RNG) BatchItemResult {
-			resp, err := s.analyzeBuilt(r.Context(), table, digest, name, beta, req.Eps, req.MaxT, req.Backend)
+			resp, err := s.analyzeBuilt(r.Context(), prep, digest, name, beta, req.Eps, req.MaxT, req.Backend)
 			if err != nil {
 				return BatchItemResult{Error: err.Error()}
 			}

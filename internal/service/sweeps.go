@@ -217,11 +217,12 @@ func (s *Service) sweepGauges() SweepGauges {
 // cache, the store, the singleflight layer and the worker-token pool.
 func (s *Service) sweepEval(g *sweep.Grid) sweep.Eval {
 	return func(ctx context.Context, j *sweep.Job) (sweep.Outcome, error) {
-		// Rebuild the table here rather than holding one per prepared
-		// point: same cost profile as /v1/analyze, which materializes
-		// before its cache lookup too.
+		// The job's game is shared by every point of its spec: the first
+		// point to get here builds the table, the rest read it and the
+		// facts the first analysis computed. Like /v1/analyze, the table is
+		// in hand before the cache lookup.
 		endBuild := obs.StartSpan(ctx, obs.StageBuild)
-		table, err := j.Materialize()
+		prep, err := j.Prepared()
 		endBuild()
 		if err != nil {
 			return sweep.Outcome{}, err
@@ -230,7 +231,7 @@ func (s *Service) sweepEval(g *sweep.Grid) sweep.Eval {
 		// per point, and j.Opts carries the normalized result the key was
 		// derived from.
 		resp, src, err := s.analyzeBuiltTier(
-			ctx, table, j.Digest, j.Spec.Game, j.Beta, j.Opts.Eps, j.Opts.MaxT, g.Backend)
+			ctx, prep, j.Digest, j.Spec.Game, j.Beta, j.Opts.Eps, j.Opts.MaxT, g.Backend)
 		if err != nil {
 			return sweep.Outcome{}, err
 		}

@@ -42,10 +42,12 @@ const (
 )
 
 // Job is one unique analysis: the first grid point for each canonical
-// key. It carries the digest and size but NOT the materialized table —
-// prep digests and immediately drops each table so a large grid holds
-// O(workers) tables at peak, never O(points); evaluators that actually
-// need the game (a store or cache miss) rebuild it with Materialize.
+// key. Besides the key's ingredients it holds a handle on its game,
+// shared by every job of one run of adjacent same-spec points (β and ε are
+// the innermost grid axes). Prep digests each such game once and drops the
+// table; evaluators that need it (a store or cache miss) call Prepared,
+// which builds it once for the run, and the runner drops it when the run's
+// last job finishes, so a grid holds O(workers) tables at peak.
 type Job struct {
 	Key    string
 	Spec   spec.Spec
@@ -57,19 +59,78 @@ type Job struct {
 	// Opts are the normalized analysis options with the backend already
 	// resolved for this game's size; Key is derived from them.
 	Opts core.Options
+
+	game *sharedGame
 }
 
-// Materialize rebuilds the job's table game. Spec construction is
-// deterministic (seeded RNG), so the rebuilt table digests identically to
-// the prep-phase one.
-func (j *Job) Materialize() (*game.TableGame, error) {
-	return buildTable(j.Spec)
+// Prepared returns the job's game with its β-independent facts (see
+// core.Prepared). The first caller among the jobs sharing the game builds
+// and materializes the table; spec construction is deterministic (seeded
+// RNG), so it digests identically to the prep-phase one. The rest read the
+// same table and the facts the first analysis computed.
+func (j *Job) Prepared() (*core.Prepared, error) { return j.game.get() }
+
+// sharedGame is the game of one run of adjacent same-spec grid points:
+// prep checks, builds and digests the spec once for the run, and every
+// unique job of the run shares the handle.
+type sharedGame struct {
+	spec   spec.Spec
+	digest [32]byte
+	size   int
+
+	mu   sync.Mutex
+	jobs int // unfinished jobs holding the handle
+	prep *core.Prepared
+	err  error // the prep phase's checks or build, or the evaluators' build
+}
+
+// Test hooks: onBuild observes every table build, onShared every shared
+// table taken (+1) or dropped (−1). Both are nil outside tests.
+var (
+	onBuild  func()
+	onShared func(delta int)
+)
+
+// get builds the table on the first call; later calls, concurrent ones
+// included, share its outcome.
+func (s *sharedGame) get() (*core.Prepared, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.prep == nil && s.err == nil {
+		table, err := buildTable(s.spec)
+		if err != nil {
+			s.err = err
+			return nil, err
+		}
+		s.prep = core.Prepare(table)
+		if onShared != nil {
+			onShared(1)
+		}
+	}
+	return s.prep, s.err
+}
+
+// release marks one of the handle's jobs finished; the last one drops the
+// table and its facts.
+func (s *sharedGame) release() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.jobs--
+	if s.jobs == 0 && s.prep != nil {
+		s.prep = nil
+		if onShared != nil {
+			onShared(-1)
+		}
+	}
 }
 
 // buildTable constructs and materializes a spec's game with panic
 // containment around BOTH steps — lazy families can defer a panicking
 // utility evaluation from Build to Materialize.
 func buildTable(s spec.Spec) (*game.TableGame, error) {
+	if onBuild != nil {
+		onBuild()
+	}
 	built, err := spec.SafeBuild(func() (game.Game, error) {
 		g, err := s.Build()
 		if err != nil {
@@ -267,6 +328,12 @@ type prep struct {
 	points []Point // every grid point sharing the key, first one owns job
 }
 
+// sameSpec reports whether two points spell the same spec, floats to the
+// bit: Go syntax prints each float in its shortest round-trip form.
+func sameSpec(a, b spec.Spec) bool {
+	return fmt.Sprintf("%#v", a) == fmt.Sprintf("%#v", b)
+}
+
 // Run expands, dedups, evaluates and aggregates the grid. The returned
 // Result always has one row per grid point (failed and cancelled points
 // carry Error); ctx cancellation stops unstarted points and returns
@@ -312,13 +379,15 @@ func (r *Runner) Run(ctx context.Context, g *Grid) (*Result, RunStats, error) {
 		finish(row)
 	}
 
-	// Phase 1 — deterministic sequential prep: build, digest and key every
-	// point; the first point of each canonical key owns the analysis, later
-	// ones just share its report.
+	// Phase 1 — deterministic sequential prep: build and digest each run
+	// of same-spec points once, then key every point; the first point of
+	// each canonical key owns the analysis, later ones just share its
+	// report.
 	byKey := make(map[string]*prep)
 	var order []*prep
+	var run *sharedGame
 	for _, p := range points {
-		job, err := r.prepare(p, g, limits)
+		job, err := r.prepare(p, g, limits, &run)
 		if err != nil {
 			fail(p, "", err)
 			continue
@@ -328,6 +397,7 @@ func (r *Runner) Run(ctx context.Context, g *Grid) (*Result, RunStats, error) {
 			stats.Duplicates++
 			continue
 		}
+		job.game.jobs++
 		pr := &prep{job: job, points: []Point{p}}
 		byKey[job.Key] = pr
 		order = append(order, pr)
@@ -337,6 +407,54 @@ func (r *Runner) Run(ctx context.Context, g *Grid) (*Result, RunStats, error) {
 	mu.Lock()
 	publish()
 	mu.Unlock()
+
+	// evalJob evaluates one unique job and finalizes all of its points.
+	evalJob := func(pr *prep) {
+		defer pr.job.game.release()
+		// failAll gives every point of the job an error row. The options
+		// were derived at prep time, so the rows keep their resolved eps
+		// even without a report.
+		failAll := func(msg string) {
+			for _, p := range pr.points {
+				row := baseRow(p)
+				row.Key = pr.job.Key
+				row.Eps = serialize.Float(pr.job.Opts.Eps)
+				row.Error = msg
+				finish(row)
+			}
+		}
+		if ctx.Err() != nil {
+			mu.Lock()
+			stats.Cancelled += len(pr.points)
+			publish()
+			mu.Unlock()
+			failAll("sweep cancelled before this point ran")
+			return
+		}
+		out, err := evalSafely(ctx, r.Eval, pr.job)
+		if err != nil {
+			mu.Lock()
+			stats.Failed += len(pr.points)
+			publish()
+			mu.Unlock()
+			failAll(err.Error())
+			return
+		}
+		mu.Lock()
+		switch out.Source {
+		case SourceStore:
+			stats.StoreHits++
+		case SourceCache:
+			stats.CacheHits++
+		default:
+			stats.Analyzed++
+		}
+		publish()
+		mu.Unlock()
+		for _, p := range pr.points {
+			finish(rowFrom(p, pr.job.Key, out.Doc))
+		}
+	}
 
 	// Phase 2 — bounded fan-out over the unique jobs. Workers race down a
 	// shared index; results land at fixed row positions, so scheduling
@@ -355,52 +473,7 @@ func (r *Runner) Run(ctx context.Context, g *Grid) (*Result, RunStats, error) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				pr := order[i]
-				if ctx.Err() != nil {
-					mu.Lock()
-					stats.Cancelled += len(pr.points)
-					publish()
-					mu.Unlock()
-					for _, p := range pr.points {
-						row := baseRow(p)
-						row.Key = pr.job.Key
-						// The options were already derived at prep time, so
-						// the row keeps its resolved eps even without a report.
-						row.Eps = serialize.Float(pr.job.Opts.Eps)
-						row.Error = "sweep cancelled before this point ran"
-						finish(row)
-					}
-					continue
-				}
-				out, err := evalSafely(ctx, r.Eval, pr.job)
-				if err != nil {
-					mu.Lock()
-					stats.Failed += len(pr.points)
-					publish()
-					mu.Unlock()
-					for _, p := range pr.points {
-						row := baseRow(p)
-						row.Key = pr.job.Key
-						row.Eps = serialize.Float(pr.job.Opts.Eps)
-						row.Error = err.Error()
-						finish(row)
-					}
-					continue
-				}
-				mu.Lock()
-				switch out.Source {
-				case SourceStore:
-					stats.StoreHits++
-				case SourceCache:
-					stats.CacheHits++
-				default:
-					stats.Analyzed++
-				}
-				publish()
-				mu.Unlock()
-				for _, p := range pr.points {
-					finish(rowFrom(p, pr.job.Key, out.Doc))
-				}
+				evalJob(order[i])
 			}
 		}()
 	}
@@ -412,11 +485,13 @@ func (r *Runner) Run(ctx context.Context, g *Grid) (*Result, RunStats, error) {
 	return res, stats, ctx.Err()
 }
 
-// prepare validates one point against the limits, builds and materializes
-// its game, and derives the canonical key — the exact derivation the
-// serving layer uses, so sweep entries and request-cache entries share an
-// address space.
-func (r *Runner) prepare(p Point, g *Grid, limits spec.Limits) (*Job, error) {
+// prepare validates one point against the limits and derives its
+// canonical key — the exact derivation the serving layer uses, so sweep
+// entries and request-cache entries share an address space. *run is the
+// current run of same-spec points: a point that starts a new run checks,
+// builds, materializes and digests its spec, and every later point of the
+// run reuses that outcome, error included.
+func (r *Runner) prepare(p Point, g *Grid, limits spec.Limits, run **sharedGame) (*Job, error) {
 	if err := limits.CheckBeta(p.Beta); err != nil {
 		return nil, err
 	}
@@ -424,17 +499,14 @@ func (r *Runner) prepare(p Point, g *Grid, limits spec.Limits) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := limits.CheckSpecFor(p.Spec, string(b)); err != nil {
-		return nil, err
+	sg := *run
+	if sg == nil || !sameSpec(sg.spec, p.Spec) {
+		sg = digestSpec(p.Spec, b, limits)
+		*run = sg
 	}
-	table, err := buildTable(p.Spec)
-	if err != nil {
-		return nil, err
+	if sg.err != nil {
+		return nil, sg.err
 	}
-	if err := limits.CheckGameFor(table, string(b)); err != nil {
-		return nil, err
-	}
-	size := game.SpaceOf(table).Size()
 	eps := g.Eps
 	if p.Eps != 0 {
 		eps = p.Eps
@@ -443,20 +515,39 @@ func (r *Runner) prepare(p Point, g *Grid, limits spec.Limits) (*Job, error) {
 		Eps:            eps,
 		MaxT:           g.MaxT,
 		MaxExactStates: limits.MaxProfiles,
-		Backend:        string(b.Resolve(size, limits.MaxProfiles)),
+		Backend:        string(b.Resolve(sg.size, limits.MaxProfiles)),
 	}.Normalized()
-	digest := store.GameDigest(table)
-	// The table is dropped here on purpose: keeping every unique point's
-	// table alive until its turn in the fan-out would make peak memory
-	// O(points × table), not O(workers × table).
 	return &Job{
-		Key:         store.KeyFrom(digest, p.Beta, opts),
+		Key:         store.KeyFrom(sg.digest, p.Beta, opts),
 		Spec:        p.Spec,
 		Beta:        p.Beta,
-		Digest:      digest,
-		NumProfiles: size,
+		Digest:      sg.digest,
+		NumProfiles: sg.size,
 		Opts:        opts,
+		game:        sg,
 	}, nil
+}
+
+// digestSpec checks, builds and digests one spec for the backend. The
+// table is dropped here on purpose: keeping every spec's table alive until
+// its turn in the fan-out would make peak memory O(specs × table), not
+// O(workers × table).
+func digestSpec(s spec.Spec, b logit.Backend, limits spec.Limits) *sharedGame {
+	sg := &sharedGame{spec: s}
+	if sg.err = limits.CheckSpecFor(s, string(b)); sg.err != nil {
+		return sg
+	}
+	table, err := buildTable(s)
+	if err != nil {
+		sg.err = err
+		return sg
+	}
+	if sg.err = limits.CheckGameFor(table, string(b)); sg.err != nil {
+		return sg
+	}
+	sg.size = game.SpaceOf(table).Size()
+	sg.digest = store.GameDigest(table)
+	return sg
 }
 
 // evalSafely runs the evaluator with panic containment: a panicking
@@ -472,18 +563,21 @@ func evalSafely(ctx context.Context, eval Eval, j *Job) (out Outcome, err error)
 }
 
 // DirectEvalScratch evaluates jobs against the store with no daemon in the
-// loop: a store hit is returned as-is (zero re-analysis), a miss runs
-// core.AnalyzeGame on one pool token (borrowing idle tokens for
-// intra-analysis parallelism) and writes the report back. st is any
-// cluster.ReportStore — a plain store, a sharded ring, or a peer-backed
-// composition; the table bytes are identical whichever one holds the
-// entries. st and pool may each be nil (no persistence / unbounded by
-// tokens).
+// loop: a store hit is returned as-is (zero re-analysis), a miss analyzes
+// the job's shared game (Job.Prepared) on one pool token (borrowing idle
+// tokens for intra-analysis parallelism) and writes the report back. The
+// jobs of one spec share its table and its β-independent facts, so a
+// β-sweep builds each game once and computes its potential statistics and
+// equilibrium scans once, in whichever point misses the store first. st is
+// any cluster.ReportStore — a plain store, a sharded ring, or a
+// peer-backed composition; the table bytes are identical whichever one
+// holds the entries. st and pool may each be nil (no persistence /
+// unbounded by tokens).
 //
 // Each analyzed point checks an arena out of sp alongside its worker token
 // (riding in its linalg.ParallelConfig) and releases it when the point
 // completes, so consecutive same-shape points (a β-sweep over one family)
-// reuse the whole workspace — CSR arrays, potential table, Lanczos basis —
+// reuse the per-β workspace — CSR arrays, Gibbs scratch, Lanczos basis —
 // instead of reallocating it. A nil sp analyzes with fresh allocations;
 // results are bit-identical either way.
 func DirectEvalScratch(st cluster.ReportStore, pool TokenPool, sp *scratch.Pool) Eval {
@@ -499,7 +593,7 @@ func DirectEvalScratch(st cluster.ReportStore, pool TokenPool, sp *scratch.Pool)
 			}
 		}
 		endBuild := obs.StartSpan(ctx, obs.StageBuild)
-		table, err := j.Materialize()
+		prep, err := j.Prepared()
 		endBuild()
 		if err != nil {
 			return Outcome{}, err
@@ -516,7 +610,7 @@ func DirectEvalScratch(st cluster.ReportStore, pool TokenPool, sp *scratch.Pool)
 			ar := sp.Acquire()
 			defer sp.Release(ar)
 			opts.Parallel.Arena = ar
-			rep, aerr = core.AnalyzeGameCtx(ctx, table, j.Beta, opts)
+			rep, aerr = prep.AnalyzeCtx(ctx, j.Beta, opts)
 		}
 		if pool == nil {
 			run()

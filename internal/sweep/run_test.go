@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -316,5 +317,115 @@ func TestDeltaAxisSweepsCoupling(t *testing.T) {
 	// Stronger coupling on the ring mixes slower.
 	if !(res.Rows[0].MixingTime < res.Rows[2].MixingTime) {
 		t.Fatalf("t_mix not increasing in δ: %d vs %d", res.Rows[0].MixingTime, res.Rows[2].MixingTime)
+	}
+}
+
+// countBuilds counts the runner's table builds and tracks how many shared
+// tables are held at once while fn runs.
+func countBuilds(t *testing.T, fn func()) (builds int, peak int) {
+	t.Helper()
+	var mu sync.Mutex
+	live := 0
+	onBuild = func() {
+		mu.Lock()
+		builds++
+		mu.Unlock()
+	}
+	onShared = func(delta int) {
+		mu.Lock()
+		live += delta
+		peak = max(peak, live)
+		mu.Unlock()
+	}
+	defer func() { onBuild, onShared = nil, nil }()
+	fn()
+	if live != 0 {
+		t.Fatalf("%d shared tables still held after the run", live)
+	}
+	return builds, peak
+}
+
+// A β-sweep builds its game once in prep (for the digest) and once for
+// the evaluators, whose points share it; a warm rerun only digests.
+func TestSweepBuildsEachGameOncePerRun(t *testing.T) {
+	g := &Grid{
+		Axes: Axes{Beta: &Schedule{From: 0.25, To: 4, Steps: 16}},
+		Base: spec.Spec{Game: "doublewell", N: 6, C: 2, Delta1: 1},
+	}
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Runner{Eval: DirectEvalScratch(st, nil, nil), Workers: 2}
+	var cold, warm RunStats
+	builds, peak := countBuilds(t, func() {
+		if _, cold, err = r.Run(context.Background(), g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if cold.Analyzed != 16 || builds != 2 || peak != 1 {
+		t.Fatalf("cold run: %d analyzed, %d builds, %d tables at peak; want 16, 2, 1", cold.Analyzed, builds, peak)
+	}
+	builds, peak = countBuilds(t, func() {
+		if _, warm, err = r.Run(context.Background(), g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if warm.StoreHits != 16 || builds != 1 || peak != 0 {
+		t.Fatalf("warm run: %d store hits, %d builds, %d tables at peak; want 16, 1, 0", warm.StoreHits, builds, peak)
+	}
+}
+
+// Three specs of four β each build six times at two workers, and the
+// runner never holds more shared tables than workers + 1: a spec's table
+// is dropped when its last job finishes.
+func TestSweepSharedTablesBounded(t *testing.T) {
+	g := &Grid{
+		Axes: Axes{N: []int{6, 7, 8}, Beta: &Schedule{From: 0.5, To: 2, Steps: 4}},
+		Base: spec.Spec{Game: "doublewell", C: 2, Delta1: 1},
+	}
+	r := &Runner{Eval: DirectEvalScratch(nil, nil, nil), Workers: 2}
+	var stats RunStats
+	builds, peak := countBuilds(t, func() {
+		var err error
+		if _, stats, err = r.Run(context.Background(), g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if stats.Analyzed != 12 || builds != 6 {
+		t.Fatalf("%d analyzed in %d builds; want 12 in 6", stats.Analyzed, builds)
+	}
+	if peak < 1 || peak > 3 {
+		t.Fatalf("%d shared tables held at once; want 1..3", peak)
+	}
+}
+
+// A spec whose build fails is built once, and every one of its points
+// fails with the build's own error text.
+func TestSweepFailedBuildFailsEveryPoint(t *testing.T) {
+	bad := spec.Spec{Game: "no-such-family", N: 6, C: 2, Delta1: 1}
+	_, want := bad.Build()
+	if want == nil {
+		t.Fatal("the bad spec builds")
+	}
+	g := &Grid{
+		Axes: Axes{Game: []string{"doublewell", "no-such-family"}, Beta: &Schedule{Values: []float64{0.5, 1, 1.5, 2}}},
+		Base: spec.Spec{N: 6, C: 2, Delta1: 1},
+	}
+	var res *Result
+	var stats RunStats
+	builds, _ := countBuilds(t, func() {
+		var err error
+		if res, stats, err = (&Runner{Eval: DirectEvalScratch(nil, nil, nil), Workers: 2}).Run(context.Background(), g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if stats.Analyzed != 4 || stats.Failed != 4 || builds != 3 {
+		t.Fatalf("stats %+v in %d builds; want 4 analyzed, 4 failed, 3 builds", stats, builds)
+	}
+	for _, row := range res.Rows[4:] {
+		if row.Error != want.Error() {
+			t.Fatalf("point %d error %q, want %q", row.Point, row.Error, want.Error())
+		}
 	}
 }
